@@ -15,6 +15,21 @@ module Region_attr = Numa_vm.Region_attr
 
 let limit scale = max 20_000 (int_of_float (10_000_000. *. scale))
 
+(* The scan phase's output offsets: entry [pg] is the number of primes
+   on sieve pages before [pg], so each page writes its survivors exactly
+   once wherever it runs. Read off the host-side sieve, which shares the
+   simulated vector's layout. *)
+let scan_offsets ~n_bits ~bits_per_page ~n_pages =
+  let sieve = Primes_util.odd_sieve ~n_bits in
+  let out_offset = Array.make (n_pages + 1) 0 in
+  for pg = 0 to n_pages - 1 do
+    out_offset.(pg + 1) <-
+      out_offset.(pg)
+      + Primes_util.odd_primes_in sieve ~lo_bit:(pg * bits_per_page)
+          ~hi_bit:(((pg + 1) * bits_per_page) - 1)
+  done;
+  out_offset
+
 (* [pragma] is applied to the sieve and output regions; the section 4.3
    ablation marks them noncacheable so they are placed in global memory up
    front, skipping the thrash-then-pin phase entirely. *)
@@ -37,28 +52,13 @@ let make ?pragma () : App_sig.t =
       |> List.filter (fun q -> q >= 3)
       |> Array.of_list
     in
-    let all_primes = Primes_util.primes_upto limit in
+    let out_offset = scan_offsets ~n_bits ~bits_per_page ~n_pages:n_sieve_pages in
     let output =
       W.alloc_arr sys ?pragma ~name:"primes3.output"
         ~sharing:Region_attr.Declared_write_shared
-        ~words:(max 1 (Array.length all_primes))
+        ~words:(1 + out_offset.(n_sieve_pages)) (* 2, then the odd primes *)
         ()
     in
-    (* Primes per sieve page and their output offsets, precomputed so the
-       scan phase writes each result exactly once wherever it runs. *)
-    let primes_in_page = Array.make n_sieve_pages 0 in
-    Array.iter
-      (fun q ->
-        if q >= 3 then begin
-          let bit = (q - 3) / 2 in
-          let pg = bit / bits_per_page in
-          if pg < n_sieve_pages then primes_in_page.(pg) <- primes_in_page.(pg) + 1
-        end)
-      all_primes;
-    let out_offset = Array.make (n_sieve_pages + 1) 0 in
-    for pg = 0 to n_sieve_pages - 1 do
-      out_offset.(pg + 1) <- out_offset.(pg) + primes_in_page.(pg)
-    done;
     (* Marking work is parcelled as (prime, page range) units of roughly
        equal mark counts, so small primes (which mark a quarter of the
        vector) do not serialise the phase. Different threads still mark
@@ -155,7 +155,7 @@ let make ?pragma () : App_sig.t =
                let n_words = min wpp (sieve.W.words - lo_word) in
                W.read_range sieve ~lo:lo_word ~n:n_words;
                Api.compute (float_of_int (n_words * 32) *. (W.Cost.loop_ns /. 10.));
-               let found = primes_in_page.(pg) in
+               let found = out_offset.(pg + 1) - out_offset.(pg) in
                if found > 0 then W.write_range output ~lo:out_offset.(pg) ~n:found
              in
              let rec scan () =

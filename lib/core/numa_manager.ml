@@ -6,7 +6,8 @@ type request_result = { final_state : state; moved : bool; fell_back_global : bo
 
 type page = {
   mutable state : state;
-  replicas : (int, Frame_table.local_frame) Hashtbl.t;  (** node -> frame *)
+  mutable replicas : (int, Frame_table.local_frame) Hashtbl.t;
+      (** node -> frame; {!no_replicas} until the first replica *)
   mutable needs_zero : bool;
   mutable moves : int;
 }
@@ -26,9 +27,18 @@ type t = {
           anything was evicted *)
 }
 
+(* Pages share this empty table until their first replica, so a machine
+   costs nothing per page it never replicates. It is never written:
+   every insertion goes through [add_replica]. *)
+let no_replicas : (int, Frame_table.local_frame) Hashtbl.t = Hashtbl.create 1
+
+let add_replica p node frame =
+  if p.replicas == no_replicas then p.replicas <- Hashtbl.create 4;
+  Hashtbl.replace p.replicas node frame
+
 let create ?obs ~config ~frames ~mmu ~sink ~stats () =
   let fresh _ =
-    { state = Untouched; replicas = Hashtbl.create 4; needs_zero = false; moves = 0 }
+    { state = Untouched; replicas = no_replicas; needs_zero = false; moves = 0 }
   in
   let obs = match obs with Some h -> h | None -> Numa_obs.Hub.create () in
   {
@@ -150,7 +160,7 @@ let copy_to_local t ~lpage ~cpu =
           (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu ~src:(Topo.Shared lpage)
              ~dst:(Topo.Node cpu));
         t.stats.copies_to_local <- t.stats.copies_to_local + 1;
-        Hashtbl.replace p.replicas cpu frame;
+        add_replica p cpu frame;
         observe t (Numa_obs.Event.Replica_create { lpage; node = cpu })
   end
 
@@ -203,7 +213,7 @@ let first_touch t ~lpage ~cpu ~access ~decision =
                  ~dst:(Topo.Node cpu));
             t.stats.copies_to_local <- t.stats.copies_to_local + 1
           end;
-          Hashtbl.replace p.replicas cpu frame;
+          add_replica p cpu frame;
           observe t (Numa_obs.Event.Replica_create { lpage; node = cpu });
           let final_state =
             match access with
@@ -367,7 +377,7 @@ let request_homed t ~lpage ~cpu ~home =
             (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu ~src:(Topo.Shared lpage)
                ~dst:(Topo.Node home));
           t.stats.copies_to_local <- t.stats.copies_to_local + 1;
-          Hashtbl.replace p.replicas home frame;
+          add_replica p home frame;
           observe t (Numa_obs.Event.Replica_create { lpage; node = home });
           p.state <- Homed home;
           { final_state = p.state; moved = false; fell_back_global = false })
@@ -390,7 +400,7 @@ let migrate_owned_pages t ~src ~dst =
                   (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:dst
                      ~src:(Topo.Shared lpage) ~dst:(Topo.Node dst));
                 t.stats.copies_to_local <- t.stats.copies_to_local + 1;
-                Hashtbl.replace p.replicas dst frame;
+                add_replica p dst frame;
                 observe t (Numa_obs.Event.Replica_create { lpage; node = dst });
                 p.state <- Local_writable dst;
                 p.moves <- p.moves + 1;

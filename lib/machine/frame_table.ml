@@ -1,10 +1,16 @@
 type local_frame = { node : int; id : int; mutable cell : int; mutable lpage : int }
 
+(* A pool's free list is its freed stack followed by the fresh range
+   [next_fresh .. capacity - 1]: allocation pops freed frames LIFO, then
+   hands out ascending fresh ids, exactly the order of an eagerly built
+   list of every frame. A frame record is created on its first
+   allocation, so building a pool costs nothing per frame. *)
 type node_pool = {
   capacity : int;
-  mutable free : local_frame list;
+  mutable freed : local_frame list;
+  mutable next_fresh : int;
   mutable in_use : int;
-  free_set : (int, unit) Hashtbl.t;  (** ids currently free, to detect double frees *)
+  allocated : Bytes.t;  (** bit [id] set while frame [id] is handed out *)
   mutable online : bool;  (** offline pools refuse allocation *)
   mutable limit : int;  (** effective capacity; squeezed below [capacity] by faults *)
   mutable pt_in_use : int;  (** frames of [in_use] backing page-table pages *)
@@ -20,14 +26,12 @@ let create (config : Config.t) =
   let topo = Config.topology config in
   let make_pool node =
     let capacity = Topo.pool_pages topo ~node in
-    let frames = List.init capacity (fun id -> { node; id; cell = 0; lpage = -1 }) in
-    let free_set = Hashtbl.create 64 in
-    List.iter (fun f -> Hashtbl.replace free_set f.id ()) frames;
     {
       capacity;
-      free = frames;
+      freed = [];
+      next_fresh = 0;
       in_use = 0;
-      free_set;
+      allocated = Bytes.make ((capacity + 7) / 8) '\000';
       online = true;
       limit = capacity;
       pt_in_use = 0;
@@ -38,6 +42,14 @@ let create (config : Config.t) =
     pools = Array.init (Topo.cpu_nodes topo) make_pool;
     paging = None;
   }
+
+let is_allocated pool id =
+  Char.code (Bytes.get pool.allocated (id lsr 3)) land (1 lsl (id land 7)) <> 0
+
+let set_allocated pool id on =
+  let byte = Char.code (Bytes.get pool.allocated (id lsr 3)) and bit = 1 lsl (id land 7) in
+  Bytes.set pool.allocated (id lsr 3)
+    (Char.unsafe_chr (if on then byte lor bit else byte land lnot bit))
 
 let attach_paging t paging = t.paging <- Some paging
 let paging t = t.paging
@@ -53,28 +65,35 @@ let write_global t ~lpage v =
   t.globals.(lpage) <- v;
   mark_dirty t ~lpage
 
+let hand_out pool frame =
+  pool.in_use <- pool.in_use + 1;
+  set_allocated pool frame.id true;
+  frame.cell <- 0;
+  frame.lpage <- -1;
+  Some frame
+
 let alloc_local t ~node =
   let pool = t.pools.(node) in
   if (not pool.online) || pool.in_use >= pool.limit then None
   else
-    match pool.free with
-    | [] -> None
+    match pool.freed with
     | frame :: rest ->
-        pool.free <- rest;
-        pool.in_use <- pool.in_use + 1;
-        Hashtbl.remove pool.free_set frame.id;
-        frame.cell <- 0;
-        frame.lpage <- -1;
-        Some frame
+        pool.freed <- rest;
+        hand_out pool frame
+    | [] when pool.next_fresh < pool.capacity ->
+        let id = pool.next_fresh in
+        pool.next_fresh <- id + 1;
+        hand_out pool { node; id; cell = 0; lpage = -1 }
+    | [] -> None
 
 let free_local t frame =
   let pool = t.pools.(frame.node) in
-  if Hashtbl.mem pool.free_set frame.id then
+  if not (is_allocated pool frame.id) then
     invalid_arg
       (Printf.sprintf "Frame_table.free_local: double free of frame %d on node %d"
          frame.id frame.node);
-  Hashtbl.replace pool.free_set frame.id ();
-  pool.free <- frame :: pool.free;
+  set_allocated pool frame.id false;
+  pool.freed <- frame :: pool.freed;
   pool.in_use <- pool.in_use - 1;
   frame.lpage <- -1
 
@@ -122,8 +141,7 @@ let squeeze t ~node ~frac =
   pool.limit <- int_of_float ((frac *. float_of_int pool.capacity) +. 0.5);
   pool.limit
 
-let frame_is_free t (frame : local_frame) =
-  Hashtbl.mem t.pools.(frame.node).free_set frame.id
+let frame_is_free t (frame : local_frame) = not (is_allocated t.pools.(frame.node) frame.id)
 
 let read_local (f : local_frame) = f.cell
 

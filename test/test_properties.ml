@@ -495,6 +495,181 @@ let prop_resilience_conserves_requests =
       | Some _ | None -> ());
       true)
 
+(* --- lazy frame pools vs the eager free list ----------------------------------- *)
+
+(* The reference is the pool as it used to be built: every frame's id in
+   one list up front, popped on allocation, freed frames pushed back on
+   top, plus a set of free ids. The lazy pools must hand out the same ids
+   in the same order and refuse the same requests. *)
+type pool_op =
+  | Pool_alloc of int
+  | Pool_alloc_pt of int
+  | Pool_free of int  (** index into the frames held *)
+  | Pool_double_free of int  (** index into the frames seen *)
+  | Pool_squeeze of int * float
+  | Pool_online of int * bool
+
+let pool_nodes = 2
+let pool_capacity = 5
+
+let pool_op_print = function
+  | Pool_alloc n -> Printf.sprintf "alloc(n%d)" n
+  | Pool_alloc_pt n -> Printf.sprintf "alloc_pt(n%d)" n
+  | Pool_free k -> Printf.sprintf "free(#%d)" k
+  | Pool_double_free k -> Printf.sprintf "double_free(#%d)" k
+  | Pool_squeeze (n, f) -> Printf.sprintf "squeeze(n%d, %g)" n f
+  | Pool_online (n, b) -> Printf.sprintf "online(n%d, %b)" n b
+
+let pool_ops_arbitrary =
+  let open QCheck.Gen in
+  let node = int_bound (pool_nodes - 1) in
+  let op =
+    frequency
+      [
+        (4, map (fun n -> Pool_alloc n) node);
+        (2, map (fun n -> Pool_alloc_pt n) node);
+        (4, map (fun k -> Pool_free k) small_nat);
+        (1, map (fun k -> Pool_double_free k) small_nat);
+        (1, map2 (fun n f -> Pool_squeeze (n, f)) node (oneofl [ 0.; 0.3; 0.5; 1. ]));
+        (1, map2 (fun n b -> Pool_online (n, b)) node bool);
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pool_op_print l))
+    (list_size (int_range 1 150) op)
+
+type eager_pool = {
+  mutable free : int list;
+  free_set : (int, unit) Hashtbl.t;
+  mutable in_use : int;
+  mutable pt : int;
+  mutable online : bool;
+  mutable limit : int;
+}
+
+let eager_pool () =
+  let free = List.init pool_capacity Fun.id in
+  let free_set = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.replace free_set id ()) free;
+  { free; free_set; in_use = 0; pt = 0; online = true; limit = pool_capacity }
+
+let eager_alloc m =
+  if (not m.online) || m.in_use >= m.limit then None
+  else
+    match m.free with
+    | [] -> None
+    | id :: rest ->
+        m.free <- rest;
+        m.in_use <- m.in_use + 1;
+        Hashtbl.remove m.free_set id;
+        Some id
+
+let eager_free m id =
+  Hashtbl.replace m.free_set id ();
+  m.free <- id :: m.free;
+  m.in_use <- m.in_use - 1
+
+let prop_lazy_pools_match_eager =
+  QCheck.Test.make ~name:"lazy frame pools match the eager free list" ~count:300
+    pool_ops_arbitrary (fun ops ->
+      let config =
+        Config.ace ~n_cpus:pool_nodes ~local_pages_per_cpu:pool_capacity ~global_pages:4 ()
+      in
+      let t = Frame_table.create config in
+      let model = Array.init pool_nodes (fun _ -> eager_pool ()) in
+      (* frames held, with whether they back a page-table page *)
+      let held = ref [] in
+      let seen = Hashtbl.create 16 in
+      let nth l k = List.nth l (k mod List.length l) in
+      let alloc ~pt node =
+        let got =
+          if pt then Frame_table.alloc_pt t ~node else Frame_table.alloc_local t ~node
+        in
+        let m = model.(node) in
+        let want = eager_alloc m in
+        (match (got, want) with
+        | None, None -> ()
+        | Some f, Some id when f.Frame_table.node = node && f.Frame_table.id = id ->
+            if pt then m.pt <- m.pt + 1;
+            held := (f, pt) :: !held;
+            Hashtbl.replace seen (node, id) f
+        | _ ->
+            let show = function None -> "None" | Some id -> string_of_int id in
+            QCheck.Test.fail_reportf "node %d: lazy gave %s, eager %s" node
+              (show (Option.map (fun f -> f.Frame_table.id) got))
+              (show want))
+      in
+      let step = function
+        | Pool_alloc node -> alloc ~pt:false node
+        | Pool_alloc_pt node -> alloc ~pt:true node
+        | Pool_free _ when !held = [] -> ()
+        | Pool_free k ->
+            let ((f, pt) as h) = nth !held k in
+            held := List.filter (fun x -> x != h) !held;
+            let m = model.(f.Frame_table.node) in
+            if pt then begin
+              Frame_table.free_pt t f;
+              m.pt <- m.pt - 1
+            end
+            else Frame_table.free_local t f;
+            eager_free m f.Frame_table.id
+        | Pool_double_free k -> (
+            let free_frames =
+              Hashtbl.fold
+                (fun (node, id) f acc ->
+                  if Hashtbl.mem model.(node).free_set id then f :: acc else acc)
+                seen []
+              |> List.sort (fun (a : Frame_table.local_frame) b ->
+                     compare (a.node, a.id) (b.node, b.id))
+            in
+            match free_frames with
+            | [] -> ()
+            | l -> (
+                let f = nth l k in
+                let expected =
+                  Printf.sprintf "Frame_table.free_local: double free of frame %d on node %d"
+                    f.Frame_table.id f.Frame_table.node
+                in
+                match Frame_table.free_local t f with
+                | () -> QCheck.Test.fail_reportf "double free accepted"
+                | exception Invalid_argument msg when msg = expected -> ()))
+        | Pool_squeeze (node, frac) ->
+            let m = model.(node) in
+            m.limit <- int_of_float ((frac *. float_of_int pool_capacity) +. 0.5);
+            let got = Frame_table.squeeze t ~node ~frac in
+            if got <> m.limit then
+              QCheck.Test.fail_reportf "squeeze limit %d, eager %d" got m.limit
+        | Pool_online (node, online) ->
+            model.(node).online <- online;
+            Frame_table.set_node_online t ~node online
+      in
+      let agree () =
+        Hashtbl.iter
+          (fun (node, id) f ->
+            let want = Hashtbl.mem model.(node).free_set id in
+            if Frame_table.frame_is_free t f <> want then
+              QCheck.Test.fail_reportf "frame_is_free n%d #%d: lazy %b, eager %b" node id
+                (not want) want)
+          seen;
+        Array.iteri
+          (fun node m ->
+            let check what got want =
+              if got <> want then
+                QCheck.Test.fail_reportf "n%d %s: lazy %d, eager %d" node what got want
+            in
+            check "in use" (Frame_table.local_in_use t ~node) m.in_use;
+            check "pt in use" (Frame_table.pt_in_use t ~node) m.pt;
+            check "capacity" (Frame_table.local_capacity t ~node)
+              (if m.online then m.limit else 0))
+          model
+      in
+      List.iter
+        (fun op ->
+          step op;
+          agree ())
+        ops;
+      true)
+
 let suite =
   [
     qcheck prop_coherence_move_limit;
@@ -509,4 +684,5 @@ let suite =
     qcheck prop_optimal_monotone_in_events;
     qcheck prop_replay_deterministic;
     qcheck prop_resilience_conserves_requests;
+    qcheck prop_lazy_pools_match_eager;
   ]

@@ -250,6 +250,20 @@ let test_default_policy_never_rehomes () =
   Alcotest.(check int) "no re-homing outside migrate-threads" 0
     (System.thread_migrations sys)
 
+(* Building the machine must cost what the run touches, not a record per
+   frame or a table per page: the 7-CPU ACE has 28,672 local frames and
+   8192 logical pages. Gc.minor_words is exact for a given binary, so an
+   eager per-frame or per-page structure cannot creep back in unseen. *)
+let test_create_allocation_gate () =
+  let config = Config.ace ~n_cpus:7 () in
+  ignore (Sys.opaque_identity (System.create ~config ()));
+  let before = Gc.minor_words () in
+  let sys = System.create ~config () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity sys);
+  if words > 200_000. then
+    Alcotest.failf "System.create allocated %.0f minor words (gate: 200k)" words
+
 let suite =
   [
     Alcotest.test_case "private page stays local" `Quick test_private_page_stays_local;
@@ -264,4 +278,5 @@ let suite =
       test_migrate_threads_rehomes;
     Alcotest.test_case "default policy never re-homes" `Quick
       test_default_policy_never_rehomes;
+    Alcotest.test_case "create allocation gate" `Quick test_create_allocation_gate;
   ]

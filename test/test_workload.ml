@@ -160,6 +160,57 @@ let test_odd_multiples_count () =
   in
   Alcotest.(check int) "partition sums" full (List.fold_left ( + ) 0 parts)
 
+let test_primes_upto_trial_division () =
+  let is_prime n =
+    n >= 2
+    &&
+    let rec go d = d * d > n || (n mod d <> 0 && go (d + 1)) in
+    go 2
+  in
+  let reference = ref [] in
+  for n = 0 to 5000 do
+    if is_prime n then reference := n :: !reference;
+    let want = Array.of_list (List.rev !reference) in
+    if Numa_apps.Primes_util.primes_upto n <> want then
+      Alcotest.failf "primes_upto %d differs from trial division" n
+  done
+
+let test_primes_upto_known_counts () =
+  List.iter
+    (fun (n, pi) ->
+      Alcotest.(check int)
+        (Printf.sprintf "pi(%d)" n)
+        pi
+        (Array.length (Numa_apps.Primes_util.primes_upto n)))
+    [ (100_000, 9592); (1_000_000, 78498); (5_000_000, 348513); (10_000_000, 664579) ]
+
+(* primes3 reads its scan offsets straight off the odd-only bit sieve;
+   they must equal the ones derived from the full prime list, bucketed by
+   the sieve page each odd prime's bit lands on. *)
+let test_primes3_offsets_match_prime_list () =
+  let wpp = (Numa_machine.Config.ace ()).Numa_machine.Config.page_size_words in
+  let bits_per_page = wpp * 32 in
+  List.iter
+    (fun scale ->
+      let limit = Numa_apps.Primes3.limit scale in
+      let n_bits = (limit - 1) / 2 in
+      let n_pages = (((n_bits + 31) / 32) + wpp - 1) / wpp in
+      let per_page = Array.make n_pages 0 in
+      Array.iter
+        (fun q ->
+          if q >= 3 then begin
+            let pg = (q - 3) / 2 / bits_per_page in
+            per_page.(pg) <- per_page.(pg) + 1
+          end)
+        (Numa_apps.Primes_util.primes_upto limit);
+      let want = Array.make (n_pages + 1) 0 in
+      Array.iteri (fun pg c -> want.(pg + 1) <- want.(pg) + c) per_page;
+      Alcotest.(check (array int))
+        (Printf.sprintf "offsets at scale %g" scale)
+        want
+        (Numa_apps.Primes3.scan_offsets ~n_bits ~bits_per_page ~n_pages))
+    [ 0.03; 1.0 ]
+
 let suite =
   [
     Alcotest.test_case "array geometry" `Quick test_arr_geometry;
@@ -171,4 +222,9 @@ let suite =
     Alcotest.test_case "static share partitions" `Quick test_static_share_partitions;
     Alcotest.test_case "primes utilities" `Quick test_primes_util;
     Alcotest.test_case "odd-multiple counting" `Quick test_odd_multiples_count;
+    Alcotest.test_case "primes_upto matches trial division" `Quick
+      test_primes_upto_trial_division;
+    Alcotest.test_case "primes_upto known counts" `Quick test_primes_upto_known_counts;
+    Alcotest.test_case "primes3 offsets match the prime list" `Quick
+      test_primes3_offsets_match_prime_list;
   ]
