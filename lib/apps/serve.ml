@@ -92,10 +92,9 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
      workload seed after the trace streams, only on resilient runs: plain
      serve draws exactly the streams it always did. *)
   let rp = Prng.split prng in
-  let jitters =
-    Array.init n (fun _ ->
-        Array.init (max 0 (max_attempts - 1)) (fun _ -> Prng.float rp 1.0))
-  in
+  let retries = max 0 (max_attempts - 1) in
+  (* row-major: request [r]'s draws are [r * retries .. (r + 1) * retries) *)
+  let jitters = Array.init (n * retries) (fun _ -> Prng.float rp 1.0) in
   (* The conservation ledger. Violations are recorded the instant they
      happen (double resolve, resolve-before-arrival); the sweep adds the
      structural checks and is handed to the invariant auditor. *)
@@ -253,7 +252,7 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
               breaker_failure w ~now:t_done
             end
           in
-          List.iter
+          Array.iter
             (fun r ->
               Api.sleep_until ~ns:arrivals.(r);
               emit
@@ -377,7 +376,7 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
                             (rc.Resilience.base_backoff_ns
                             *. (2. ** float_of_int (!normal_attempts - 1)))
                         in
-                        let u = jitters.(r).(!normal_attempts - 1) in
+                        let u = jitters.((r * retries) + !normal_attempts - 1) in
                         let backoff = expo *. (1. +. (rc.Resilience.jitter *. u)) in
                         let wake = tnow +. backoff in
                         if wake >= abs_deadline then fail_final ()
@@ -515,12 +514,21 @@ let make ?(arrival = default_arrival) ?(theta = default_theta)
     let wp = Prng.split prng in
     let writes = Array.init n (fun _ -> Prng.float wp 1.0 < rw_mix) in
     (* Modulo sharding: worker w owns keys congruent to w, so the zipf head
-       spreads over all shards while store pages stay node-shared. *)
-    let assigned = Array.make nthreads [] in
-    for r = n - 1 downto 0 do
-      let w = keys.(r) mod nthreads in
-      assigned.(w) <- r :: assigned.(w)
-    done;
+       spreads over all shards while store pages stay node-shared.
+       [assigned.(w)] lists w's requests in arrival order. *)
+    let assigned =
+      let len = Array.make nthreads 0 in
+      Array.iter (fun k -> len.(k mod nthreads) <- len.(k mod nthreads) + 1) keys;
+      let a = Array.map (fun c -> Array.make c 0) len in
+      Array.fill len 0 nthreads 0;
+      Array.iteri
+        (fun r k ->
+          let w = k mod nthreads in
+          a.(w).(len.(w)) <- r;
+          len.(w) <- len.(w) + 1)
+        keys;
+      a
+    in
     let store =
       W.alloc_arr sys ~name:"serve.store"
         ~sharing:Region_attr.Declared_write_shared ~words:(n_keys * key_span) ()
@@ -556,7 +564,7 @@ let make ?(arrival = default_arrival) ?(theta = default_theta)
                   key := !key + nthreads
                 done;
                 W.read_word queues w;
-                List.iter
+                Array.iter
                   (fun r ->
                     (* Open-loop: park to the arrival instant (a no-op when the
                        shard is already running behind — the backlog case). The

@@ -49,26 +49,27 @@ let read_range a ~lo ~n = iter_page_batches a ~lo ~n (fun vpage count -> Api.rea
 let write_range ?value a ~lo ~n =
   iter_page_batches a ~lo ~n (fun vpage count -> Api.write ~count ?value vpage)
 
-(* Strided visits: group consecutive elements that fall on the same page.
-   With stride >= words_per_page every element is its own batch. *)
-let iter_stride_batches a ~lo ~n ~stride f =
+let stride_batches ~words ~words_per_page ~lo ~n ~stride f =
   if stride <= 0 then invalid_arg "Workload: stride must be positive";
   if n < 0 then invalid_arg "Workload: negative count";
-  if n > 0 && (lo < 0 || lo + ((n - 1) * stride) >= a.words) then
+  if n > 0 && (lo < 0 || lo + ((n - 1) * stride) >= words) then
     invalid_arg "Workload: stride range out of bounds";
   let rec go i remaining =
     if remaining > 0 then begin
-      let vpage = vpage_of a i in
-      let rec count_here k idx =
-        if k < remaining && vpage_of a idx = vpage then count_here (k + 1) (idx + stride)
-        else k
-      in
-      let count = count_here 1 (i + stride) in
-      f vpage count;
+      let page = i / words_per_page in
+      let page_end = (page + 1) * words_per_page in
+      let on_page = ((page_end - 1 - i) / stride) + 1 in
+      let count = if on_page < remaining then on_page else remaining in
+      f page count;
       go (i + (count * stride)) (remaining - count)
     end
   in
   go lo n
+
+let iter_stride_batches a ~lo ~n ~stride f =
+  let base = a.region.System.base_vpage in
+  stride_batches ~words:a.words ~words_per_page:a.words_per_page ~lo ~n ~stride
+    (fun page count -> f (base + page) count)
 
 let read_stride a ~lo ~n ~stride =
   iter_stride_batches a ~lo ~n ~stride (fun vpage count -> Api.read ~count vpage)

@@ -65,6 +65,15 @@ val read_stride : arr -> lo:int -> n:int -> stride:int -> unit
 
 val write_stride : ?value:int -> arr -> lo:int -> n:int -> stride:int -> unit
 
+val stride_batches :
+  words:int -> words_per_page:int -> lo:int -> n:int -> stride:int -> (int -> int -> unit) -> unit
+(** The batching behind {!read_stride}: [f page count] for each maximal
+    run of the [n] elements [lo], [lo+stride], ... that share a page
+    (page [i / words_per_page] of a [words]-long array), in order. Each
+    run's length is computed from the page end, not by walking it.
+    Raises [Invalid_argument] on a non-positive stride, a negative count
+    or an element outside the array. *)
+
 (** {1 Stack traffic} *)
 
 val linkage : stack_vpage:int -> refs:int -> unit

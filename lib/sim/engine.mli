@@ -100,7 +100,9 @@ val elapsed_ns : t -> float
 val n_events : t -> int
 val n_threads : t -> int
 val thread_cpu : t -> tid:int -> int
-(** CPU the thread last ran on. *)
+(** CPU the thread last ran on, or will next run on after {!rehome}.
+    O(1) array read once {!run} has started. Raises [Invalid_argument]
+    naming the tid if no thread has it. *)
 
 val rehome : t -> tid:int -> cpu:int -> bool
 (** Externally re-home a live thread onto [cpu]: its next scheduling

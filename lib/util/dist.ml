@@ -1,4 +1,4 @@
-type zipf = { cdf : float array }
+type zipf = { cdf : float array; guide : int array }
 
 let zipf ~n ~theta =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
@@ -15,17 +15,37 @@ let zipf ~n ~theta =
   done;
   (* Guard against float rounding leaving the last bucket short of 1. *)
   cdf.(n - 1) <- 1.;
-  { cdf }
-
-let zipf_draw z prng =
-  let u = Prng.float prng 1.0 in
-  (* Smallest index with cdf.(i) > u. *)
-  let lo = ref 0 and hi = ref (Array.length z.cdf - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if z.cdf.(mid) > u then hi := mid else lo := mid + 1
+  (* Cutpoint guide (Chen & Asau): guide.(j) is the smallest index with
+     cdf > j/n, a lower bound of the answer for every u >= j/n. *)
+  let fn = float_of_int n in
+  let guide = Array.make n 0 in
+  let i = ref 0 in
+  for j = 0 to n - 1 do
+    let x = float_of_int j /. fn in
+    while cdf.(!i) <= x do
+      incr i
+    done;
+    guide.(j) <- !i
   done;
-  !lo
+  { cdf; guide }
+
+let zipf_quantile z u =
+  if not (u >= 0. && u < 1.) then invalid_arg "Dist.zipf_quantile: u must be in [0,1)";
+  let cdf = z.cdf and m = Array.length z.guide in
+  let j = int_of_float (u *. float_of_int m) in
+  let i = ref z.guide.(if j < m then j else m - 1) in
+  (* [u *. m] can round up to [j] when [u] is just below [j/m], where the
+     guide entry may overshoot: step back to the first index past [u]. *)
+  while !i > 0 && cdf.(!i - 1) > u do
+    decr i
+  done;
+  (* Smallest index with cdf.(i) > u; cdf.(n-1) = 1 > u ends the scan. *)
+  while cdf.(!i) <= u do
+    incr i
+  done;
+  !i
+
+let zipf_draw z prng = zipf_quantile z (Prng.float prng 1.0)
 
 let zipf_mass z i =
   if i < 0 || i >= Array.length z.cdf then invalid_arg "Dist.zipf_mass: out of range";

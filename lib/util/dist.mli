@@ -16,11 +16,17 @@ val zipf : n:int -> theta:float -> zipf
     key [i] is drawn with probability proportional to [1/(i+1)^theta].
     [theta = 0] is the uniform distribution; [theta ~ 1] is classic web
     traffic; beyond 1 the head keys dominate outright. The cumulative
-    table is precomputed, so {!zipf_draw} is a binary search.
+    table and an [n]-entry cutpoint guide over it are precomputed, so a
+    draw scans O(1) entries on average.
     Raises [Invalid_argument] if [n <= 0] or [theta < 0]. *)
 
+val zipf_quantile : zipf -> float -> int
+(** [zipf_quantile z u] for [u] in [\[0, 1)] is the smallest key whose
+    cumulative probability exceeds [u] (inverse-CDF lookup).
+    Raises [Invalid_argument] for [u] outside that range. *)
+
 val zipf_draw : zipf -> Prng.t -> int
-(** One key, by inverse-CDF lookup on a uniform draw. *)
+(** One key: {!zipf_quantile} of a uniform draw. *)
 
 val zipf_mass : zipf -> int -> float
 (** The probability of key [i] (for tests; [Invalid_argument] out of

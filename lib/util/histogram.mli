@@ -1,5 +1,9 @@
 (** Integer-valued histogram with unbounded keys.
 
+    Keys in [\[0, 2^16)] are counted in a dense array, so {!add} on them
+    is an array store that allocates nothing (past the array's growth);
+    other keys fall back to a map.
+
     Used for per-page move-count distributions (how many ownership transfers
     each page suffered before pinning) and fault-kind breakdowns. *)
 
@@ -20,7 +24,8 @@ val total : t -> int
 (** Sum of all counts. *)
 
 val keys : t -> int list
-(** Keys with non-zero count, in increasing order. *)
+(** Recorded keys in increasing order, including any only ever given a
+    count of 0 by {!add_many}. *)
 
 val mean : t -> float
 (** Count-weighted mean of the keys; [0.] for an empty histogram. *)

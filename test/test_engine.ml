@@ -232,6 +232,47 @@ let test_migrate_rebinds_thread () =
   Alcotest.(check bool) "reschedule charged as system time" true
     (Engine.system_ns e ~cpu:3 > 0.)
 
+(* [thread_cpu] answers from the tid table before [run] and from the flat
+   index during and after it; both must report the CPU the thread really
+   runs on (its compute lands there), and an unknown tid is a typed error. *)
+let test_thread_cpu_lookup () =
+  let e = make () in
+  let unknown tid =
+    Alcotest.check_raises
+      (Printf.sprintf "unknown tid %d" tid)
+      (Invalid_argument (Printf.sprintf "Engine.thread_cpu: unknown tid %d" tid))
+      (fun () -> ignore (Engine.thread_cpu e ~tid))
+  in
+  let b_tid = ref (-1) in
+  let seen = ref [] in
+  let note () = seen := Engine.thread_cpu e ~tid:!b_tid :: !seen in
+  let b =
+    Engine.spawn e ~cpu:1 ~name:"b" (fun () ->
+        Api.compute 1e6;
+        note ();
+        Api.migrate ~cpu:3;
+        Api.compute 1e6;
+        note ();
+        Api.sleep_until ~ns:10e6;
+        Api.compute 1e6;
+        note ())
+  in
+  b_tid := b;
+  ignore
+    (Engine.spawn e ~cpu:0 ~name:"a" (fun () ->
+         Api.compute 5e6;
+         unknown 99;
+         Alcotest.(check bool) "rehomed" true (Engine.rehome e ~tid:b ~cpu:2)));
+  Alcotest.(check int) "before run" 1 (Engine.thread_cpu e ~tid:b);
+  unknown 2;
+  unknown (-1);
+  Engine.run e;
+  Alcotest.(check (list int)) "inside the body: spawn cpu, migrated, rehomed" [ 1; 3; 2 ]
+    (List.rev !seen);
+  Alcotest.(check (float 1.)) "post-rehome compute ran on cpu 2" 1e6 (Engine.user_ns e ~cpu:2);
+  Alcotest.(check int) "after run" 2 (Engine.thread_cpu e ~tid:b);
+  unknown 2
+
 let test_migrate_bad_cpu_fails () =
   let e = make () in
   ignore (Engine.spawn e ~cpu:0 ~name:"bad" (fun () -> Api.migrate ~cpu:99));
@@ -362,6 +403,7 @@ let suite =
     Alcotest.test_case "stuck barrier detected" `Quick test_deadlock_detection;
     Alcotest.test_case "migrate rebinds thread" `Quick test_migrate_rebinds_thread;
     Alcotest.test_case "migrate to bad cpu fails" `Quick test_migrate_bad_cpu_fails;
+    Alcotest.test_case "thread_cpu lookup and unknown tid" `Quick test_thread_cpu_lookup;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "spawn after run rejected" `Quick test_spawn_after_run_rejected;
     Alcotest.test_case "empty run" `Quick test_empty_run;

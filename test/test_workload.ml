@@ -211,12 +211,41 @@ let test_primes3_offsets_match_prime_list () =
         (Numa_apps.Primes3.scan_offsets ~n_bits ~bits_per_page ~n_pages))
     [ 0.03; 1.0 ]
 
+(* The per-page batch count is computed from the page end; the reference
+   walks every element and groups consecutive ones on the same page. *)
+let prop_stride_batches_walk =
+  QCheck.Test.make ~name:"stride batches match the element walk" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair (pair int int) (triple int int int))
+        Gen.(
+          int_range 1 64 >>= fun words_per_page ->
+          int_range 1 2_000 >>= fun words ->
+          int_range 0 (words - 1) >>= fun lo ->
+          int_range 1 (words + 1) >>= fun stride ->
+          int_range 0 ((words - 1 - lo) / stride + 1) >>= fun n ->
+          return ((words, words_per_page), (lo, n, stride))))
+    (fun ((words, words_per_page), (lo, n, stride)) ->
+      let got = ref [] in
+      W.stride_batches ~words ~words_per_page ~lo ~n ~stride (fun p c -> got := (p, c) :: !got);
+      let want =
+        List.fold_left
+          (fun acc k ->
+            let page = (lo + (k * stride)) / words_per_page in
+            match acc with
+            | (p, c) :: rest when p = page -> (p, c + 1) :: rest
+            | _ -> (page, 1) :: acc)
+          [] (List.init n Fun.id)
+      in
+      !got = want)
+
 let suite =
   [
     Alcotest.test_case "array geometry" `Quick test_arr_geometry;
     Alcotest.test_case "range batches per page" `Quick test_range_batches_per_page;
     Alcotest.test_case "stride batches" `Quick test_stride_batches;
     Alcotest.test_case "stride bounds" `Quick test_stride_bounds;
+    QCheck_alcotest.to_alcotest prop_stride_batches_walk;
     Alcotest.test_case "linkage read/write mix" `Quick test_linkage_mix;
     Alcotest.test_case "workpile covers exactly once" `Quick test_workpile_covers_exactly;
     Alcotest.test_case "static share partitions" `Quick test_static_share_partitions;
