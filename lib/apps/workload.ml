@@ -29,53 +29,36 @@ let n_pages a = a.region.System.pages
 let read_word a i = Api.read (vpage_of a i)
 let write_word a ?value i = Api.write ?value (vpage_of a i)
 
-(* Visit the pages covering [lo, lo+n) in order, issuing one batched
-   operation per page. *)
-let iter_page_batches a ~lo ~n f =
-  if n < 0 || lo < 0 || lo + n > a.words then
-    invalid_arg "Workload: range out of bounds";
-  let rec go i remaining =
-    if remaining > 0 then begin
-      let in_page = a.words_per_page - (i mod a.words_per_page) in
-      let count = min remaining in_page in
-      f (vpage_of a i) count;
-      go (i + count) (remaining - count)
-    end
-  in
-  go lo n
+(* Each walk is one {!Api.span}: one engine operation, however many
+   pages it crosses. *)
+let walk ?value a access ~lo ~n ~stride =
+  Api.span ?value access ~base_vpage:a.region.System.base_vpage
+    ~words_per_page:a.words_per_page ~lo ~n ~stride
 
-let read_range a ~lo ~n = iter_page_batches a ~lo ~n (fun vpage count -> Api.read ~count vpage)
+let check_range a ~lo ~n =
+  if n < 0 || lo < 0 || lo + n > a.words then invalid_arg "Workload: range out of bounds"
+
+let read_range a ~lo ~n =
+  check_range a ~lo ~n;
+  walk a Numa_machine.Access.Load ~lo ~n ~stride:1
 
 let write_range ?value a ~lo ~n =
-  iter_page_batches a ~lo ~n (fun vpage count -> Api.write ~count ?value vpage)
+  check_range a ~lo ~n;
+  walk ?value a Numa_machine.Access.Store ~lo ~n ~stride:1
 
-let stride_batches ~words ~words_per_page ~lo ~n ~stride f =
+let check_stride a ~lo ~n ~stride =
   if stride <= 0 then invalid_arg "Workload: stride must be positive";
   if n < 0 then invalid_arg "Workload: negative count";
-  if n > 0 && (lo < 0 || lo + ((n - 1) * stride) >= words) then
-    invalid_arg "Workload: stride range out of bounds";
-  let rec go i remaining =
-    if remaining > 0 then begin
-      let page = i / words_per_page in
-      let page_end = (page + 1) * words_per_page in
-      let on_page = ((page_end - 1 - i) / stride) + 1 in
-      let count = if on_page < remaining then on_page else remaining in
-      f page count;
-      go (i + (count * stride)) (remaining - count)
-    end
-  in
-  go lo n
-
-let iter_stride_batches a ~lo ~n ~stride f =
-  let base = a.region.System.base_vpage in
-  stride_batches ~words:a.words ~words_per_page:a.words_per_page ~lo ~n ~stride
-    (fun page count -> f (base + page) count)
+  if n > 0 && (lo < 0 || lo + ((n - 1) * stride) >= a.words) then
+    invalid_arg "Workload: stride range out of bounds"
 
 let read_stride a ~lo ~n ~stride =
-  iter_stride_batches a ~lo ~n ~stride (fun vpage count -> Api.read ~count vpage)
+  check_stride a ~lo ~n ~stride;
+  walk a Numa_machine.Access.Load ~lo ~n ~stride
 
 let write_stride ?value a ~lo ~n ~stride =
-  iter_stride_batches a ~lo ~n ~stride (fun vpage count -> Api.write ~count ?value vpage)
+  check_stride a ~lo ~n ~stride;
+  walk ?value a Numa_machine.Access.Store ~lo ~n ~stride
 
 let linkage ~stack_vpage ~refs =
   if refs > 0 then begin

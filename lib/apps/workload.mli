@@ -55,24 +55,20 @@ val read_word : arr -> int -> unit
 val write_word : arr -> ?value:int -> int -> unit
 
 val read_range : arr -> lo:int -> n:int -> unit
-(** [n] consecutive word fetches starting at [lo], batched page by page. *)
+(** [n] consecutive word fetches starting at [lo], batched page by page.
+    The whole walk is one engine operation ({!Numa_sim.Api.span}): no
+    code of the calling thread runs between its pages. *)
 
 val write_range : ?value:int -> arr -> lo:int -> n:int -> unit
 
 val read_stride : arr -> lo:int -> n:int -> stride:int -> unit
 (** [n] fetches at [lo], [lo+stride], ...: references are batched per page
-    (a column walk touches many pages with few references each). *)
+    (a column walk touches many pages with few references each), and the
+    walk is one engine operation like {!read_range}. Raises
+    [Invalid_argument] on a non-positive stride, a negative count or an
+    element outside the array — also outside a simulated thread. *)
 
 val write_stride : ?value:int -> arr -> lo:int -> n:int -> stride:int -> unit
-
-val stride_batches :
-  words:int -> words_per_page:int -> lo:int -> n:int -> stride:int -> (int -> int -> unit) -> unit
-(** The batching behind {!read_stride}: [f page count] for each maximal
-    run of the [n] elements [lo], [lo+stride], ... that share a page
-    (page [i / words_per_page] of a [words]-long array), in order. Each
-    run's length is computed from the page end, not by walking it.
-    Raises [Invalid_argument] on a non-positive stride, a negative count
-    or an element outside the array. *)
 
 (** {1 Stack traffic} *)
 

@@ -10,6 +10,21 @@ let read_value vpage = perform (Op.Read { vpage; count = 1 })
 let write ?(count = 1) ?(value = 0) vpage =
   if count > 0 then ignore (perform (Op.Write { vpage; count; value }))
 
+let span ?(value = 0) access ~base_vpage ~words_per_page ~lo ~n ~stride =
+  if stride <= 0 then invalid_arg "Api.span: stride must be positive";
+  if n > 0 then begin
+    let first = lo / words_per_page and last = (lo + ((n - 1) * stride)) / words_per_page in
+    if first = last then begin
+      let vpage = base_vpage + first in
+      match access with
+      | Numa_machine.Access.Load -> ignore (perform (Op.Read { vpage; count = n }))
+      | Store -> ignore (perform (Op.Write { vpage; count = n; value }))
+    end
+    else
+      ignore
+        (perform (Op.Span { access; base_vpage; words_per_page; lo; n; stride; value }))
+  end
+
 let compute ns = if ns > 0. then ignore (perform (Op.Compute { ns }))
 
 let lock l = ignore (perform (Op.Lock_acquire l))

@@ -16,6 +16,27 @@ val write : ?count:int -> ?value:int -> int -> unit
 (** [write ~count ~value vpage]: [count] (default 1) stores; the page's
     content cell becomes [value] (default 0). *)
 
+val span :
+  ?value:int ->
+  Numa_machine.Access.t ->
+  base_vpage:int ->
+  words_per_page:int ->
+  lo:int ->
+  n:int ->
+  stride:int ->
+  unit
+(** [span access ~base_vpage ~words_per_page ~lo ~n ~stride]: [n]
+    references of kind [access] to the words [lo], [lo+stride], ... of an
+    array laid out from [base_vpage] with [words_per_page] words per page
+    (stores write [value], default 0). The walk is batched per page and
+    behaves exactly as one {!read}/{!write} per page batch in order (see
+    {!Op.Span} for the equivalence rule), but costs one effect round trip
+    in all: a walk inside one page is a single [Op.Read]/[Op.Write], a
+    longer one a single [Op.Span] that the engine walks page by page. No
+    code of the caller runs between the pages. [n <= 0] does nothing;
+    bounds are the caller's to check. Raises [Invalid_argument] if
+    [stride] is not positive. *)
+
 val compute : float -> unit
 (** Pure computation for the given number of nanoseconds. *)
 

@@ -6,6 +6,9 @@ type scheduler_mode = Affinity | Single_queue
    NaN, and this runs several times per event. Stays local so it inlines. *)
 let fmax (a : float) b = if a < b then b else a
 
+(* Int-typed, so it compiles to a compare and not [caml_lessequal]. *)
+let imin (a : int) b = if a < b then a else b
+
 type config = {
   n_cpus : int;
   chunk_refs : int;
@@ -26,6 +29,7 @@ let default_config ~n_cpus =
   }
 
 exception Deadlock of string
+exception Event_budget_exceeded of int
 
 type step = Finished | Blocked of Op.t * (int, step) Effect.Deep.continuation
 
@@ -36,7 +40,17 @@ type pending =
       access : Access.t;
       mutable remaining : int;
       value : int;
-      mutable last_value : int;
+    }
+  | P_span of {
+      access : Access.t;
+      base_vpage : int;
+      words_per_page : int;
+      stride : int;
+      value : int;
+      mutable vpage : int;  (** the current page batch's page *)
+      mutable remaining : int;  (** references left in the current batch *)
+      mutable next : int;  (** element index the next batch starts at *)
+      mutable left : int;  (** references in the batches after this one *)
     }
   | P_compute of { mutable remaining_ns : float }
   | P_lock of Sync.lock
@@ -173,9 +187,23 @@ let handler : (unit, step) Effect.Deep.handler =
 
 let begin_pending = function
   | Op.Read { vpage; count } ->
-      P_refs { vpage; access = Access.Load; remaining = count; value = 0; last_value = 0 }
+      P_refs { vpage; access = Access.Load; remaining = count; value = 0 }
   | Op.Write { vpage; count; value } ->
-      P_refs { vpage; access = Access.Store; remaining = count; value; last_value = value }
+      P_refs { vpage; access = Access.Store; remaining = count; value }
+  | Op.Span { access; base_vpage; words_per_page; lo; n; stride; value } ->
+      let count = Op.batch_len ~words_per_page ~stride ~i:lo ~left:n in
+      P_span
+        {
+          access;
+          base_vpage;
+          words_per_page;
+          stride;
+          value;
+          vpage = base_vpage + (lo / words_per_page);
+          remaining = count;
+          next = lo + (count * stride);
+          left = n - count;
+        }
   | Op.Compute { ns } -> P_compute { remaining_ns = ns }
   | Op.Lock_acquire l -> P_lock l
   | Op.Lock_release l -> P_unlock l
@@ -250,12 +278,19 @@ let access t th ~cpu ~vpage ~access:a ~count ~value =
 let process_chunk t th ~cpu ~start pending =
   match pending with
   | P_refs r ->
-      let n = min r.remaining t.config.chunk_refs in
+      let n = imin r.remaining t.config.chunk_refs in
       let res = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
       r.remaining <- r.remaining - n;
-      r.last_value <- res.Memory_iface.value;
       chunk ~d_user:res.Memory_iface.user_ns ~d_system:res.Memory_iface.system_ns
-        ~completed:(r.remaining = 0) ~result:r.last_value ()
+        ~completed:(r.remaining = 0) ~result:res.Memory_iface.value ()
+  | P_span r ->
+      (* [completed] means the current page batch is done; [go] moves on
+         to the next batch, or resumes the thread after the last one. *)
+      let n = imin r.remaining t.config.chunk_refs in
+      let res = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
+      r.remaining <- r.remaining - n;
+      chunk ~d_user:res.Memory_iface.user_ns ~d_system:res.Memory_iface.system_ns
+        ~completed:(r.remaining = 0) ~result:res.Memory_iface.value ()
   | P_compute c ->
       let slice = Float.min c.remaining_ns t.config.compute_slice_ns in
       c.remaining_ns <- c.remaining_ns -. slice;
@@ -437,11 +472,120 @@ let pick_cpu t th =
       th.cpu <- !best;
       !best
 
+(* Every event — a popped queue entry or a boundary run inline — counts
+   against the budget. *)
+let count_event t =
+  t.n_events <- t.n_events + 1;
+  if t.n_events > t.config.max_events then
+    raise (Event_budget_exceeded t.config.max_events)
+
 let finish_thread t th =
   th.finished <- true;
   th.kont <- None;
   th.pending <- None;
   t.live <- t.live - 1
+
+(* A parked thread (sleep, syscall return) must still observe its
+   tightest deadline: wake at the deadline instant instead of sleeping
+   through it, so the timer fires exactly on time. *)
+let park t th start after =
+  schedule t th (if after > th.deadline then fmax start th.deadline else after)
+
+(* Work through [th]'s pending operation on [cpu] from [start], chunk by
+   chunk, for one scheduling turn. Top-level, not local to [turn], so a
+   turn allocates no closures. *)
+let rec go t th cpu start =
+  match th.pending with
+  | None -> ()
+  | Some _ when start >= th.deadline -> fire t th cpu start
+  | Some pending ->
+      let o = process_chunk t th ~cpu ~start pending in
+      t.user.(cpu) <- t.user.(cpu) +. o.d_user;
+      t.system.(cpu) <- t.system.(cpu) +. o.d_system;
+      let after =
+        match o.ready_override with
+        | Some v -> v
+        | None ->
+            (match t.profile with
+            | Some p when start > t.clock.(cpu) ->
+                (* The thread's event time was ahead of its CPU's clock:
+                   the CPU sat idle for the difference. *)
+                Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
+            | Some _ | None -> ());
+            t.clock.(cpu) <- start +. o.d_user +. o.d_system;
+            t.clock.(cpu)
+      in
+      t.vnow <- fmax t.vnow after;
+      if not o.completed then schedule t th after
+      else
+        match pending with
+        | P_span r when r.left > 0 ->
+            (* A page boundary inside a span: the next page's batch
+               starts exactly where a separately performed op would. *)
+            let count =
+              Op.batch_len ~words_per_page:r.words_per_page ~stride:r.stride ~i:r.next
+                ~left:r.left
+            in
+            r.vpage <- r.base_vpage + (r.next / r.words_per_page);
+            r.remaining <- count;
+            r.next <- r.next + (count * r.stride);
+            r.left <- r.left - count;
+            boundary t th cpu start after
+        | _ -> (
+            th.pending <- None;
+            match th.kont with
+            | None -> assert false
+            | Some k -> (
+                th.kont <- None;
+                match Effect.Deep.continue k o.result with
+                | Finished -> finish_thread t th
+                | Blocked (op, k') -> (
+                    th.kont <- Some k';
+                    th.pending <- Some (begin_pending op);
+                    match o.ready_override with
+                    | None -> boundary t th cpu start after
+                    | Some _ -> park t th start after)))
+(* An operation boundary: keep running inline while no other event is
+   due first (avoids heap churn for single-threaded phases). *)
+and boundary t th cpu start after =
+  if Event_queue.min_time t.events >= after then begin
+    count_event t;
+    go t th cpu after
+  end
+  else park t th start after
+and fire t th cpu start =
+  (* The tightest armed timer has expired: abandon the current operation
+     at this chunk boundary and unwind the thread with
+     {!Api.Deadline_exceeded}. Scopes armed after the firing timer can
+     no longer pop themselves (the unwind bypasses their pop), so they
+     are disarmed here as well; outer scopes stay armed. *)
+  let fired = th.deadline in
+  let rec split = function
+    | [] -> assert false
+    | (id, u) :: rest -> if u <= fired then (id, rest) else split rest
+  in
+  let id, rest = split th.deadlines in
+  th.deadlines <- rest;
+  th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest;
+  th.pending <- None;
+  match th.kont with
+  | None -> assert false
+  | Some k -> (
+      th.kont <- None;
+      (* Unwinding may itself perform operations (with_lock releases its
+         lock on the way out); they surface here as a fresh blocked op
+         and run at [start] — at or after the deadline instant, never
+         before. *)
+      match Effect.Deep.discontinue k (Api.Deadline_exceeded id) with
+      | Finished -> finish_thread t th
+      | Blocked (op, k') ->
+          th.kont <- Some k';
+          th.pending <- Some (begin_pending op);
+          if Event_queue.min_time t.events >= start then begin
+            count_event t;
+            go t th cpu start
+          end
+          else schedule t th start)
 
 (* Process one scheduling turn for [th]: one chunk; on op completion,
    resume the thread body (possibly through several ops) while no other
@@ -457,96 +601,7 @@ let turn t th =
   if Numa_obs.Hub.enabled t.obs then
     Numa_obs.Hub.emit t.obs
       (Numa_obs.Event.Dispatch { tid = th.tid; cpu; name = th.name });
-  let rec go start =
-    match th.pending with
-    | None -> ()
-    | Some _ when start >= th.deadline -> fire start
-    | Some pending ->
-        let o = process_chunk t th ~cpu ~start pending in
-        t.user.(cpu) <- t.user.(cpu) +. o.d_user;
-        t.system.(cpu) <- t.system.(cpu) +. o.d_system;
-        let after =
-          match o.ready_override with
-          | Some v -> v
-          | None ->
-              (match t.profile with
-              | Some p when start > t.clock.(cpu) ->
-                  (* The thread's event time was ahead of its CPU's clock:
-                     the CPU sat idle for the difference. *)
-                  Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
-              | Some _ | None -> ());
-              t.clock.(cpu) <- start +. o.d_user +. o.d_system;
-              t.clock.(cpu)
-        in
-        t.vnow <- fmax t.vnow after;
-        if not o.completed then schedule t th after
-        else begin
-          th.pending <- None;
-          match th.kont with
-          | None -> assert false
-          | Some k -> (
-              th.kont <- None;
-              match Effect.Deep.continue k o.result with
-              | Finished -> finish_thread t th
-              | Blocked (op, k') ->
-                  th.kont <- Some k';
-                  th.pending <- Some (begin_pending op);
-                  (* Keep running inline while no other event is due first;
-                     avoids heap churn for single-threaded phases. *)
-                  let can_inline =
-                    o.ready_override = None && Event_queue.min_time t.events >= after
-                  in
-                  if can_inline then begin
-                    t.n_events <- t.n_events + 1;
-                    if t.n_events > t.config.max_events then
-                      failwith "Engine.run: event budget exceeded";
-                    go after
-                  end
-                  else
-                    (* A parked thread (sleep, syscall return) must still
-                       observe its tightest deadline: wake at the deadline
-                       instant instead of sleeping through it, so the
-                       timer fires exactly on time. *)
-                    schedule t th
-                      (if after > th.deadline then fmax start th.deadline else after))
-        end
-  and fire start =
-    (* The tightest armed timer has expired: abandon the current operation
-       at this chunk boundary and unwind the thread with
-       {!Api.Deadline_exceeded}. Scopes armed after the firing timer can
-       no longer pop themselves (the unwind bypasses their pop), so they
-       are disarmed here as well; outer scopes stay armed. *)
-    let fired = th.deadline in
-    let rec split = function
-      | [] -> assert false
-      | (id, u) :: rest -> if u <= fired then (id, rest) else split rest
-    in
-    let id, rest = split th.deadlines in
-    th.deadlines <- rest;
-    th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest;
-    th.pending <- None;
-    match th.kont with
-    | None -> assert false
-    | Some k -> (
-        th.kont <- None;
-        (* Unwinding may itself perform operations (with_lock releases its
-           lock on the way out); they surface here as a fresh blocked op
-           and run at [start] — at or after the deadline instant, never
-           before. *)
-        match Effect.Deep.discontinue k (Api.Deadline_exceeded id) with
-        | Finished -> finish_thread t th
-        | Blocked (op, k') ->
-            th.kont <- Some k';
-            th.pending <- Some (begin_pending op);
-            if Event_queue.min_time t.events >= start then begin
-              t.n_events <- t.n_events + 1;
-              if t.n_events > t.config.max_events then
-                failwith "Engine.run: event budget exceeded";
-              go start
-            end
-            else schedule t th start)
-  in
-  go start
+  go t th cpu start
 
 let run t =
   if t.running || t.completed then invalid_arg "Engine.run: already running";
@@ -562,9 +617,7 @@ let run t =
              (Printf.sprintf "%d thread(s) blocked with no runnable events" t.live))
     end
     else begin
-      t.n_events <- t.n_events + 1;
-      if t.n_events > t.config.max_events then
-        failwith "Engine.run: event budget exceeded";
+      count_event t;
       let th = t.thread_by_tid.(tid) in
       if not th.finished then turn t th;
       loop ()

@@ -37,6 +37,12 @@ exception Deadlock of string
 (** Raised when no thread can make progress (e.g. a lock was never
     released). *)
 
+exception Event_budget_exceeded of int
+(** Raised by {!run} when the run needs more events than
+    [config.max_events] (the payload) — a livelock or a runaway workload.
+    Every event counts: each popped queue entry, and each operation or
+    span page boundary run inline within a turn. *)
+
 val create : ?obs:Numa_obs.Hub.t -> config -> memory:Memory_iface.t -> scheduler:scheduler_mode -> t
 (** [obs] (default: a fresh, sink-less hub) receives scheduler dispatch,
     lock and system-call events. The engine points the hub's clock at its
@@ -73,8 +79,17 @@ val spawn : t -> ?cpu:int -> ?stack_vpage:int -> name:string -> (unit -> unit) -
     when the Unix-master model is active. Must be called before {!run}. *)
 
 val run : t -> unit
-(** Execute until every thread finishes. Raises {!Deadlock} or [Failure]
-    (event budget exceeded) on pathological workloads. *)
+(** Execute until every thread finishes. Raises {!Deadlock} or
+    {!Event_budget_exceeded} on pathological workloads.
+
+    A {!Op.Span} is worked through page batch by page batch, and each
+    page boundary inside it is handled exactly like an operation
+    boundary: it counts one event, the next batch runs inline if and only
+    if no queued event is due before the boundary instant, and otherwise
+    the thread is scheduled at that instant (clamped to its tightest
+    deadline). A span therefore produces the same reports, event count
+    and event stream as one [Read]/[Write] per page batch, without
+    resuming the thread body between pages. *)
 
 val now : t -> float
 (** Current virtual time; callable during [run] (e.g. from policies). *)

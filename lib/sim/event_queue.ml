@@ -17,20 +17,24 @@ let length t = t.size
 let is_empty t = t.size = 0
 
 (* Strict (time, seq) order: the monotone sequence number breaks ties so
-   equal times pop in schedule order (determinism). *)
-let wins t i j =
-  t.time.(i) < t.time.(j) || (t.time.(i) = t.time.(j) && t.seq.(i) < t.seq.(j))
+   equal times pop in schedule order (determinism). Both helpers sit in
+   the sift loops of every add and pop, so they are inlined; each time is
+   read once. *)
+let[@inline] wins t i j =
+  let ti = t.time.(i) and tj = t.time.(j) in
+  ti < tj || (ti = tj && t.seq.(i) < t.seq.(j))
 
-let swap t i j =
-  let tm = t.time.(i) in
-  t.time.(i) <- t.time.(j);
-  t.time.(j) <- tm;
-  let s = t.seq.(i) in
-  t.seq.(i) <- t.seq.(j);
-  t.seq.(j) <- s;
-  let d = t.tid.(i) in
-  t.tid.(i) <- t.tid.(j);
-  t.tid.(j) <- d
+let[@inline] swap t i j =
+  let time = t.time and seq = t.seq and tid = t.tid in
+  let tm = time.(i) in
+  time.(i) <- time.(j);
+  time.(j) <- tm;
+  let s = seq.(i) in
+  seq.(i) <- seq.(j);
+  seq.(j) <- s;
+  let d = tid.(i) in
+  tid.(i) <- tid.(j);
+  tid.(j) <- d
 
 let grow t =
   let cap = Array.length t.time in

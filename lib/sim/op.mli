@@ -13,6 +13,33 @@ type t =
   | Write of { vpage : int; count : int; value : int }
       (** [count] 32-bit stores; the page's content cell ends up holding
           [value] *)
+  | Span of {
+      access : Numa_machine.Access.t;
+      base_vpage : int;
+      words_per_page : int;
+      lo : int;
+      n : int;
+      stride : int;
+      value : int;
+    }
+      (** [n] references of one kind to the words [lo], [lo+stride], ...
+          of an array laid out from [base_vpage], [words_per_page] words
+          per page: one operation for a whole array walk. The engine
+          splits it into one batch per page ({!stride_batches}) and works
+          through the batches itself; each batch is exactly the [Read] or
+          [Write] of that page's [count] references (stores write
+          [value]).
+
+          {b Equivalence rule.} At each page boundary inside a span the
+          engine does what it does at an operation boundary: it counts one
+          event against the budget, runs the next batch inline if and only
+          if no queued event is due before the boundary instant, and
+          otherwise schedules the thread at that instant (clamped to its
+          tightest deadline). Deadlines fire at the same chunk boundaries
+          and unwind from the span's single [perform]. Reports, event
+          counts and the event stream are therefore those of the same walk
+          issued as one [Read]/[Write] per page — which is what the span
+          saves: one effect round trip per page. *)
   | Compute of { ns : float }
       (** pure computation (no data references) *)
   | Lock_acquire of Sync.lock
@@ -40,5 +67,18 @@ type t =
   | Deadline_pop
       (** disarm the most recently pushed timer (normal in-time exit from
           an {!Api.with_deadline} scope) *)
+
+val batch_len : words_per_page:int -> stride:int -> i:int -> left:int -> int
+(** References of a span's batch starting at element index [i] with
+    [left] (> 0) references still to go: the elements [i], [i+stride],
+    ... that share [i]'s page, at most [left]. Computed from the page end,
+    not by walking the elements. *)
+
+val stride_batches :
+  words_per_page:int -> lo:int -> n:int -> stride:int -> (int -> int -> unit) -> unit
+(** The page batches of a span, in order: [f page count] for each maximal
+    run of the [n] elements [lo], [lo+stride], ... on one page (page
+    [i / words_per_page] relative to the array's base). [stride] must be
+    positive and [lo], [n] non-negative. *)
 
 val pp : Format.formatter -> t -> unit

@@ -211,11 +211,8 @@ let test_deadlock_detection () =
   let e = make ~engine_tweak:(fun c -> { c with Engine.max_events = 10_000 }) () in
   let barrier = Engine.make_barrier e ~vpage:1 ~parties:2 in
   ignore (Engine.spawn e ~cpu:0 ~name:"lonely" (fun () -> Api.barrier barrier));
-  Alcotest.(check bool) "event budget catches the livelock" true
-    (match Engine.run e with
-    | () -> false
-    | exception Failure _ -> true
-    | exception Engine.Deadlock _ -> true)
+  Alcotest.check_raises "event budget catches the livelock"
+    (Engine.Event_budget_exceeded 10_000) (fun () -> Engine.run e)
 
 let test_migrate_rebinds_thread () =
   let e = make () in
@@ -385,6 +382,35 @@ let prop_event_queue_sorts =
       in
       drain [] = expect)
 
+(* The per-page batch count is computed from the page end; the reference
+   walks every element and groups consecutive ones on the same page. *)
+let prop_stride_batches_walk =
+  QCheck.Test.make ~name:"stride batches match the element walk" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair (pair int int) (triple int int int))
+        Gen.(
+          int_range 1 64 >>= fun words_per_page ->
+          int_range 1 2_000 >>= fun words ->
+          int_range 0 (words - 1) >>= fun lo ->
+          int_range 1 (words + 1) >>= fun stride ->
+          int_range 0 ((words - 1 - lo) / stride + 1) >>= fun n ->
+          return ((words, words_per_page), (lo, n, stride))))
+    (fun ((_, words_per_page), (lo, n, stride)) ->
+      let got = ref [] in
+      Numa_sim.Op.stride_batches ~words_per_page ~lo ~n ~stride (fun p c ->
+          got := (p, c) :: !got);
+      let want =
+        List.fold_left
+          (fun acc k ->
+            let page = (lo + (k * stride)) / words_per_page in
+            match acc with
+            | (p, c) :: rest when p = page -> (p, c + 1) :: rest
+            | _ -> (page, 1) :: acc)
+          [] (List.init n Fun.id)
+      in
+      !got = want)
+
 let suite =
   [
     Alcotest.test_case "compute accounting" `Quick test_compute_accounting;
@@ -412,4 +438,5 @@ let suite =
     Alcotest.test_case "event queue clear" `Quick test_event_queue_clear;
     Alcotest.test_case "event queue grows" `Quick test_event_queue_grows;
     QCheck_alcotest.to_alcotest prop_event_queue_sorts;
+    QCheck_alcotest.to_alcotest prop_stride_batches_walk;
   ]

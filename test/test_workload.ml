@@ -72,7 +72,10 @@ let test_stride_bounds () =
   Alcotest.(check bool) "single element always fine" true true;
   Alcotest.check_raises "overrun rejected"
     (Invalid_argument "Workload: stride range out of bounds") (fun () ->
-      ignore (W.read_stride a ~lo:0 ~n:3 ~stride:256))
+      ignore (W.read_stride a ~lo:0 ~n:3 ~stride:256));
+  Alcotest.check_raises "span stride must be positive"
+    (Invalid_argument "Api.span: stride must be positive") (fun () ->
+      Api.span Access.Load ~base_vpage:0 ~words_per_page:512 ~lo:0 ~n:2 ~stride:0)
 
 let test_linkage_mix () =
   let sys = mk () in
@@ -211,33 +214,157 @@ let test_primes3_offsets_match_prime_list () =
         (Numa_apps.Primes3.scan_offsets ~n_bits ~bits_per_page ~n_pages))
     [ 0.03; 1.0 ]
 
-(* The per-page batch count is computed from the page end; the reference
-   walks every element and groups consecutive ones on the same page. *)
-let prop_stride_batches_walk =
-  QCheck.Test.make ~name:"stride batches match the element walk" ~count:500
-    QCheck.(
-      make
-        ~print:Print.(pair (pair int int) (triple int int int))
-        Gen.(
-          int_range 1 64 >>= fun words_per_page ->
-          int_range 1 2_000 >>= fun words ->
-          int_range 0 (words - 1) >>= fun lo ->
-          int_range 1 (words + 1) >>= fun stride ->
-          int_range 0 ((words - 1 - lo) / stride + 1) >>= fun n ->
-          return ((words, words_per_page), (lo, n, stride))))
-    (fun ((words, words_per_page), (lo, n, stride)) ->
-      let got = ref [] in
-      W.stride_batches ~words ~words_per_page ~lo ~n ~stride (fun p c -> got := (p, c) :: !got);
-      let want =
-        List.fold_left
-          (fun acc k ->
-            let page = (lo + (k * stride)) / words_per_page in
-            match acc with
-            | (p, c) :: rest when p = page -> (p, c + 1) :: rest
-            | _ -> (page, 1) :: acc)
-          [] (List.init n Fun.id)
-      in
-      !got = want)
+(* --- spans against the per-page loop ------------------------------------ *)
+
+(* The reference: the loop the range and stride helpers ran before a walk
+   became one span — one [Api.read]/[Api.write] per page batch, with the
+   thread body resumed between pages. *)
+let per_page_walk (a : W.arr) access ~lo ~n ~stride ~value =
+  let base = a.W.region.System.base_vpage in
+  Numa_sim.Op.stride_batches ~words_per_page:a.W.words_per_page ~lo ~n ~stride
+    (fun page count ->
+      match access with
+      | Access.Load -> Api.read ~count (base + page)
+      | Access.Store -> Api.write ~count ~value (base + page))
+
+let span_walk a access ~lo ~n ~stride ~value =
+  match (access, stride) with
+  | Access.Load, 1 -> W.read_range a ~lo ~n
+  | Access.Store, 1 -> W.write_range ~value a ~lo ~n
+  | Access.Load, _ -> W.read_stride a ~lo ~n ~stride
+  | Access.Store, _ -> W.write_stride ~value a ~lo ~n ~stride
+
+type walk = {
+  access : Access.t;
+  lo : int;
+  n : int;
+  stride : int;
+  deadline_ns : int option;  (** armed this long after the walk starts *)
+}
+
+let span_pages = 8
+
+(* Everything a run exposes: the report, the access-hook stream, the hub
+   stream, the event count — plus, as coverage, how many deadlines fired
+   after the walk under them had made some but not all of its references. *)
+let run_walks ~span (n_cpus, chunk_refs, threads) =
+  let config = Config.ace ~n_cpus ~local_pages_per_cpu:64 ~global_pages:256 () in
+  let sys = System.create ~chunk_refs ~config () in
+  let a = alloc sys ~words:(span_pages * config.Config.page_size_words) in
+  let accesses = ref [] and events = ref [] in
+  let refs_by_tid = Array.make (List.length threads) 0 in
+  System.set_access_hook sys
+    (Some
+       (fun e ->
+         refs_by_tid.(e.System.tid) <- refs_by_tid.(e.System.tid) + e.System.count;
+         accesses :=
+           (e.System.at, e.System.cpu, e.System.tid, e.System.vpage, e.System.count)
+           :: !accesses));
+  Numa_obs.Hub.attach (System.obs sys) ~name:"spans" (fun ~ts ev ->
+      events := (ts, ev) :: !events);
+  let mid_walk = ref 0 in
+  List.iteri
+    (fun i walks ->
+      ignore
+        (System.spawn sys ~cpu:(i mod n_cpus) ~name:(Printf.sprintf "t%d" i)
+           (fun ~stack_vpage:_ ->
+             List.iteri
+               (fun j w ->
+                 let value = (10 * i) + j + 1 in
+                 let walk () =
+                   (if span then span_walk else per_page_walk)
+                     a w.access ~lo:w.lo ~n:w.n ~stride:w.stride ~value
+                 in
+                 match w.deadline_ns with
+                 | None -> walk ()
+                 | Some d ->
+                     (* Threads get tids 0, 1, ... in spawn order. *)
+                     let before = refs_by_tid.(i) in
+                     let until_ns =
+                       Numa_sim.Engine.now (System.engine sys) +. float_of_int d
+                     in
+                     let fired = Api.with_deadline ~until_ns walk = None in
+                     let made = refs_by_tid.(i) - before in
+                     if fired && made > 0 && made < w.n then incr mid_walk)
+               walks)))
+    threads;
+  let report = System.run sys in
+  ( ( Numa_obs.Json.to_string (Numa_system.Report.to_json report),
+      List.rev !accesses,
+      List.rev !events,
+      Numa_sim.Engine.n_events (System.engine sys) ),
+    !mid_walk )
+
+let gen_walk ~words =
+  QCheck.Gen.(
+    oneofl [ Access.Load; Access.Store ] >>= fun access ->
+    int_range 0 (words - 1) >>= fun lo ->
+    frequency [ (2, return 1); (1, int_range 2 40); (1, int_range 41 700) ] >>= fun stride ->
+    int_range 0 (min 1_500 (((words - 1 - lo) / stride) + 1)) >>= fun n ->
+    frequency [ (2, return None); (1, map Option.some (int_range 0 400_000)) ]
+    >>= fun deadline_ns -> return { access; lo; n; stride; deadline_ns })
+
+let gen_span_case =
+  let words = span_pages * (small_config ()).Config.page_size_words in
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n_cpus ->
+    int_range 1 600 >>= fun chunk_refs ->
+    list_size (int_range 1 4) (list_size (int_range 1 6) (gen_walk ~words))
+    >>= fun threads -> return (n_cpus, chunk_refs, threads))
+
+let print_span_case (n_cpus, chunk_refs, threads) =
+  Printf.sprintf "cpus=%d chunk_refs=%d\n%s" n_cpus chunk_refs
+    (String.concat "\n"
+       (List.mapi
+          (fun i ws ->
+            Printf.sprintf "t%d: %s" i
+              (String.concat "; "
+                 (List.map
+                    (fun w ->
+                      Printf.sprintf "%s lo=%d n=%d stride=%d%s" (Access.to_string w.access)
+                        w.lo w.n w.stride
+                        (match w.deadline_ns with
+                        | None -> ""
+                        | Some d -> Printf.sprintf " deadline=+%dns" d))
+                    ws)))
+          threads))
+
+let span_mid_walk_fires = ref 0
+
+(* A span is one engine op, yet the run is indistinguishable from the
+   per-page loop: the same report, access stream, hub stream and event
+   count, with deadlines firing in the middle of walks. *)
+let prop_span_matches_per_page =
+  QCheck.Test.make ~name:"spans match the per-page loop" ~count:3_000
+    (QCheck.make ~print:print_span_case gen_span_case)
+    (fun case ->
+      let want, _ = run_walks ~span:false case in
+      let got, fired = run_walks ~span:true case in
+      span_mid_walk_fires := !span_mid_walk_fires + fired;
+      got = want)
+
+let test_span_equivalence () =
+  QCheck.Test.check_exn prop_span_matches_per_page;
+  Alcotest.(check bool) "deadlines fired in the middle of walks" true
+    (!span_mid_walk_fires > 0)
+
+(* A multi-page walk costs one effect round trip, not one per page. *)
+let test_span_allocation () =
+  let sys = System.create ~config:(small_config ()) () in
+  let wpp = (small_config ()).Config.page_size_words in
+  let a = alloc sys ~words:(64 * wpp) in
+  ignore
+    (System.spawn sys ~name:"t" (fun ~stack_vpage:_ ->
+         for k = 0 to 10 do
+           W.read_stride a ~lo:k ~n:64 ~stride:wpp
+         done));
+  let before = Gc.minor_words () in
+  ignore (System.run sys);
+  let words = Gc.minor_words () -. before in
+  let events = Numa_sim.Engine.n_events (System.engine sys) in
+  let per_event = words /. float_of_int events in
+  if per_event > 50. then
+    Alcotest.failf "%.1f words per event over %d events (gate: 50)" per_event events
 
 let suite =
   [
@@ -245,7 +372,8 @@ let suite =
     Alcotest.test_case "range batches per page" `Quick test_range_batches_per_page;
     Alcotest.test_case "stride batches" `Quick test_stride_batches;
     Alcotest.test_case "stride bounds" `Quick test_stride_bounds;
-    QCheck_alcotest.to_alcotest prop_stride_batches_walk;
+    Alcotest.test_case "spans match the per-page loop" `Slow test_span_equivalence;
+    Alcotest.test_case "span allocation per event" `Quick test_span_allocation;
     Alcotest.test_case "linkage read/write mix" `Quick test_linkage_mix;
     Alcotest.test_case "workpile covers exactly once" `Quick test_workpile_covers_exactly;
     Alcotest.test_case "static share partitions" `Quick test_static_share_partitions;
