@@ -56,8 +56,11 @@ let create ?obs ~config ~frames ~mmu ~sink ~stats () =
 let set_reclaim t f = t.reclaim <- Some f
 
 (* Emission sites construct events only when a sink is listening, keeping
-   the un-observed hot path at one branch. *)
-let observe t ev = if Numa_obs.Hub.enabled t.obs then Numa_obs.Hub.emit t.obs ev
+   the un-observed hot path at one branch: every site reads
+   [if observed t then emit t (Event ...)], so no event is built for a
+   hub without sinks. *)
+let observed t = Numa_obs.Hub.enabled t.obs
+let emit t ev = Numa_obs.Hub.emit t.obs ev
 
 let page t lpage =
   if lpage < 0 || lpage >= Array.length t.pages then
@@ -73,7 +76,7 @@ let replica_nodes t ~lpage =
 
 let moves_of t ~lpage = (page t lpage).moves
 
-let charge t ~cpu ?cat ~lpage ns = Cost_sink.charge t.sink ~cpu ?cat ~lpage ns
+let charge t ~cpu ~cat ~lpage ns = Cost_sink.charge t.sink ~cpu ~cat ~lpage ns
 
 (* A failed local-frame allocation retries once through the pager: page-out
    may flush replicas off the full node. Pointless when the node is
@@ -125,7 +128,7 @@ let sync_node t ~lpage ~node ~by_cpu =
         (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:by_cpu
            ~src:(Topo.Node node) ~dst:(Topo.Shared lpage));
       t.stats.syncs_to_global <- t.stats.syncs_to_global + 1;
-      observe t (Numa_obs.Event.Sync_to_global { lpage; node })
+      if observed t then emit t (Numa_obs.Event.Sync_to_global { lpage; node })
 
 (* Drop a node's cached copy (mappings first, then the frame). *)
 let flush_node t ~lpage ~node ~by_cpu =
@@ -137,7 +140,7 @@ let flush_node t ~lpage ~node ~by_cpu =
       Frame_table.free_local t.frames frame;
       Hashtbl.remove p.replicas node;
       t.stats.replicas_flushed <- t.stats.replicas_flushed + 1;
-      observe t (Numa_obs.Event.Replica_flush { lpage; node })
+      if observed t then emit t (Numa_obs.Event.Replica_flush { lpage; node })
 
 let unmap_all t ~lpage ~by_cpu =
   List.iter
@@ -161,7 +164,7 @@ let copy_to_local t ~lpage ~cpu =
              ~dst:(Topo.Node cpu));
         t.stats.copies_to_local <- t.stats.copies_to_local + 1;
         add_replica p cpu frame;
-        observe t (Numa_obs.Event.Replica_create { lpage; node = cpu })
+        if observed t then emit t (Numa_obs.Event.Replica_create { lpage; node = cpu })
   end
 
 (* --- first touch ------------------------------------------------------ *)
@@ -175,7 +178,7 @@ let first_touch t ~lpage ~cpu ~access ~decision =
         (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Shared lpage));
       t.stats.zero_fills_global <- t.stats.zero_fills_global + 1;
       p.needs_zero <- false;
-      observe t (Numa_obs.Event.Zero_fill { lpage; node = None })
+      if observed t then emit t (Numa_obs.Event.Zero_fill { lpage; node = None })
     end;
     p.state <- Global_writable;
     Global_writable
@@ -187,7 +190,7 @@ let first_touch t ~lpage ~cpu ~access ~decision =
       match alloc_local_reclaiming t ~lpage ~node:cpu with
       | None ->
           t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-          observe t (Numa_obs.Event.Local_fallback { lpage; cpu });
+          if observed t then emit t (Numa_obs.Event.Local_fallback { lpage; cpu });
           { final_state = place_global (); moved = false; fell_back_global = true }
       | Some frame ->
           (* Lazy zero-fill lands directly in the right memory, avoiding the
@@ -198,7 +201,8 @@ let first_touch t ~lpage ~cpu ~access ~decision =
               (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Node cpu));
             t.stats.zero_fills_local <- t.stats.zero_fills_local + 1;
             p.needs_zero <- false;
-            observe t (Numa_obs.Event.Zero_fill { lpage; node = Some cpu });
+            if observed t then
+              emit t (Numa_obs.Event.Zero_fill { lpage; node = Some cpu });
             (* A read leaves the page Read_only, whose invariant is that
                the global frame is the clean master; later replicas copy
                from it. Zero the master cell too — on the real machine the
@@ -214,7 +218,7 @@ let first_touch t ~lpage ~cpu ~access ~decision =
             t.stats.copies_to_local <- t.stats.copies_to_local + 1
           end;
           add_replica p cpu frame;
-          observe t (Numa_obs.Event.Replica_create { lpage; node = cpu });
+          if observed t then emit t (Numa_obs.Event.Replica_create { lpage; node = cpu });
           let final_state =
             match access with
             | Access.Load -> Read_only
@@ -307,7 +311,7 @@ let demote_homed t ~lpage ~cpu ~home =
   (page t lpage).state <- Global_writable
 
 let request t ~lpage ~cpu ~access ~decision =
-  charge t ~cpu ~lpage (Cost.pmap_action_ns t.config);
+  charge t ~cpu ~cat:Numa_obs.Profile.Pmap_action ~lpage (Cost.pmap_action_ns t.config);
   let p = page t lpage in
   (match p.state with
   | Homed h -> demote_homed t ~lpage ~cpu ~home:h
@@ -324,7 +328,7 @@ let request t ~lpage ~cpu ~access ~decision =
           && node_still_full t ~lpage ~node:cpu
         then begin
           t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-          observe t (Numa_obs.Event.Local_fallback { lpage; cpu });
+          if observed t then emit t (Numa_obs.Event.Local_fallback { lpage; cpu });
           (Protocol.Place_global, true)
         end
         else (decision, false)
@@ -335,12 +339,13 @@ let request t ~lpage ~cpu ~access ~decision =
       if moved then begin
         p.moves <- p.moves + 1;
         t.stats.moves <- t.stats.moves + 1;
-        observe t (Numa_obs.Event.Page_move { lpage; to_node = cpu; moves = p.moves })
+        if observed t then
+          emit t (Numa_obs.Event.Page_move { lpage; to_node = cpu; moves = p.moves })
       end;
       { final_state = p.state; moved; fell_back_global }
 
 let request_homed t ~lpage ~cpu ~home =
-  charge t ~cpu ~lpage (Cost.pmap_action_ns t.config);
+  charge t ~cpu ~cat:Numa_obs.Profile.Pmap_action ~lpage (Cost.pmap_action_ns t.config);
   let p = page t lpage in
   match p.state with
   | Homed h when h = home -> { final_state = p.state; moved = false; fell_back_global = false }
@@ -355,7 +360,7 @@ let request_homed t ~lpage ~cpu ~home =
               (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Shared lpage));
             t.stats.zero_fills_global <- t.stats.zero_fills_global + 1;
             p.needs_zero <- false;
-            observe t (Numa_obs.Event.Zero_fill { lpage; node = None })
+            if observed t then emit t (Numa_obs.Event.Zero_fill { lpage; node = None })
           end
       | Homed h -> demote_homed t ~lpage ~cpu ~home:h
       | Local_writable o ->
@@ -369,7 +374,7 @@ let request_homed t ~lpage ~cpu ~home =
       match alloc_local_reclaiming t ~lpage ~node:home with
       | None ->
           t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-          observe t (Numa_obs.Event.Local_fallback { lpage; cpu });
+          if observed t then emit t (Numa_obs.Event.Local_fallback { lpage; cpu });
           { final_state = Global_writable; moved = false; fell_back_global = true }
       | Some frame ->
           Frame_table.copy_global_to_local t.frames ~lpage frame;
@@ -378,7 +383,8 @@ let request_homed t ~lpage ~cpu ~home =
                ~dst:(Topo.Node home));
           t.stats.copies_to_local <- t.stats.copies_to_local + 1;
           add_replica p home frame;
-          observe t (Numa_obs.Event.Replica_create { lpage; node = home });
+          if observed t then
+            emit t (Numa_obs.Event.Replica_create { lpage; node = home });
           p.state <- Homed home;
           { final_state = p.state; moved = false; fell_back_global = false })
 
@@ -401,15 +407,18 @@ let migrate_owned_pages t ~src ~dst =
                      ~src:(Topo.Shared lpage) ~dst:(Topo.Node dst));
                 t.stats.copies_to_local <- t.stats.copies_to_local + 1;
                 add_replica p dst frame;
-                observe t (Numa_obs.Event.Replica_create { lpage; node = dst });
+                if observed t then
+                  emit t (Numa_obs.Event.Replica_create { lpage; node = dst });
                 p.state <- Local_writable dst;
                 p.moves <- p.moves + 1;
-                observe t
-                  (Numa_obs.Event.Page_move { lpage; to_node = dst; moves = p.moves });
+                if observed t then
+                  emit t
+                    (Numa_obs.Event.Page_move { lpage; to_node = dst; moves = p.moves });
                 incr moved
             | None ->
                 t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-                observe t (Numa_obs.Event.Local_fallback { lpage; cpu = dst });
+                if observed t then
+                  emit t (Numa_obs.Event.Local_fallback { lpage; cpu = dst });
                 p.state <- Global_writable)
         | Untouched | Read_only | Local_writable _ | Global_writable | Homed _ -> ())
       t.pages;
@@ -493,7 +502,7 @@ let sync_if_dirty t ~lpage =
 let reset_page t ~lpage =
   let p = page t lpage in
   Numa_stats.record_final_moves t.stats p.moves;
-  observe t (Numa_obs.Event.Page_freed { lpage; moves = p.moves });
+  if observed t then emit t (Numa_obs.Event.Page_freed { lpage; moves = p.moves });
   List.iter
     (fun (e : Mmu.entry) ->
       Mmu.remove_entry t.mmu e;

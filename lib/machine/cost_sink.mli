@@ -11,7 +11,12 @@
     charge time and (when known) the logical page — and profiled at
     {e drain} time, the moment the nanoseconds actually land on a CPU
     clock. Never-drained residue therefore never reaches the profiler,
-    which is what makes its conservation invariant exact. *)
+    which is what makes its conservation invariant exact.
+
+    The queue is flat: per CPU, a growable [int array] of tags (category,
+    context and [lpage + 1] packed into one int) beside a [float array]
+    of amounts. Once it has grown to a run's largest backlog, charging
+    allocates nothing. *)
 
 type t
 
@@ -22,15 +27,15 @@ val set_profile : t -> Numa_obs.Profile.t option -> unit
 
 val profile : t -> Numa_obs.Profile.t option
 
-val charge :
-  t -> cpu:int -> ?cat:Numa_obs.Profile.kernel_cat -> ?lpage:int -> float -> unit
-(** Add [ns] of system time against a CPU, categorised for the profiler
-    ([cat] defaults to [Pmap_action], [lpage] to none). Negative charges
-    are rejected. *)
+val charge : t -> cpu:int -> cat:Numa_obs.Profile.kernel_cat -> lpage:int -> float -> unit
+(** Add [ns] of system time against a CPU, categorised for the profiler;
+    [lpage < 0] means no page attribution. Both labels are required, so a
+    call boxes no option. Negative charges are rejected. *)
 
 val drain : t -> cpu:int -> float
 (** Return and reset the pending system time of a CPU, flushing its
-    queued charges to the attached profiler. *)
+    queued charges to the attached profiler newest first (the order in
+    which the profiler's float totals have always been summed). *)
 
 val pending : t -> cpu:int -> float
 (** Peek without resetting. *)

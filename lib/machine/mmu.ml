@@ -9,22 +9,29 @@ type entry = {
   mutable phys : phys;
 }
 
-type key = { k_pmap : int; k_cpu : int; k_vpage : int }
-
 type t = {
   n_cpus : int;
-  forward : (key, entry) Hashtbl.t;
-  reverse : (int, (key, entry) Hashtbl.t) Hashtbl.t;  (** lpage -> its mappings *)
+  forward : entry Int_tbl.t;  (** [key pmap cpu vpage] -> mapping *)
+  mutable reverse : entry list array;  (** lpage -> its mappings, newest first *)
   tlbs : entry Tlb.t array;  (** per-CPU software translation caches *)
   obs : Numa_obs.Hub.t;
   mutable pt : Pt.t option;  (** materialised page tables, when attached *)
 }
 
+(* The forward map's key packs a mapping's coordinates into one int:
+   vpage in the low 40 bits, cpu in the next 8, pmap above. A triple that
+   does not fit packs to -1, which no mapping holds: [enter] rejects it
+   and lookups miss. *)
+let key ~pmap ~cpu ~vpage =
+  if vpage lsr 40 = 0 && cpu lsr 8 = 0 && pmap lsr 14 = 0 then
+    (((pmap lsl 8) lor cpu) lsl 40) lor vpage
+  else -1
+
 let create ?obs (config : Config.t) =
   {
     n_cpus = config.n_cpus;
-    forward = Hashtbl.create 1024;
-    reverse = Hashtbl.create 256;
+    forward = Int_tbl.create 1024;
+    reverse = [||];
     tlbs = Array.init config.n_cpus (fun _ -> Tlb.create ());
     obs = (match obs with Some h -> h | None -> Numa_obs.Hub.create ());
     pt = None;
@@ -35,29 +42,29 @@ let pt t = t.pt
 
 let pte_frame = function Frame f -> Some f | Global_frame _ -> None
 
-let key_of_entry e = { k_pmap = e.pmap; k_cpu = e.cpu; k_vpage = e.vpage }
+(* The reverse index grows to the highest logical page mapped so far, so a
+   machine pays only for the pages its run touches. *)
+let link_reverse t e =
+  let n = Array.length t.reverse in
+  if e.lpage >= n then begin
+    let grown = Array.make (max (e.lpage + 1) (2 * n)) [] in
+    Array.blit t.reverse 0 grown 0 n;
+    t.reverse <- grown
+  end;
+  t.reverse.(e.lpage) <- e :: t.reverse.(e.lpage)
 
-let reverse_bucket t lpage =
-  match Hashtbl.find_opt t.reverse lpage with
-  | Some b -> b
-  | None ->
-      let b = Hashtbl.create 8 in
-      Hashtbl.replace t.reverse lpage b;
-      b
+let rec without e = function
+  | [] -> []
+  | x :: rest -> if x == e then rest else x :: without e rest
 
-let unlink_reverse t e =
-  match Hashtbl.find_opt t.reverse e.lpage with
-  | None -> ()
-  | Some b ->
-      Hashtbl.remove b (key_of_entry e);
-      if Hashtbl.length b = 0 then Hashtbl.remove t.reverse e.lpage
+let unlink_reverse t e = t.reverse.(e.lpage) <- without e t.reverse.(e.lpage)
 
 (* Every mapping drop funnels through here, so this is the one precise
    shootdown point for the software TLBs: the protocol actions (invalidate,
    ownership move, pin, pageout) all reach mappings via the reverse maps
    and remove them entry by entry. *)
 let remove_entry t e =
-  Hashtbl.remove t.forward (key_of_entry e);
+  Int_tbl.remove t.forward (key ~pmap:e.pmap ~cpu:e.cpu ~vpage:e.vpage);
   unlink_reverse t e;
   (match t.pt with
   | Some pt -> Pt.remove pt ~pmap:e.pmap ~cpu:e.cpu ~vpage:e.vpage ~lpage:e.lpage
@@ -71,19 +78,20 @@ let remove_entry t e =
 
 let enter t ~pmap ~cpu ~vpage ~lpage ~prot ~phys =
   if cpu < 0 || cpu >= t.n_cpus then invalid_arg "Mmu.enter: bad cpu";
-  let key = { k_pmap = pmap; k_cpu = cpu; k_vpage = vpage } in
-  (match Hashtbl.find_opt t.forward key with
-  | Some old -> remove_entry t old
-  | None -> ());
+  if lpage < 0 then invalid_arg "Mmu.enter: negative lpage";
+  let key = key ~pmap ~cpu ~vpage in
+  if key < 0 then invalid_arg "Mmu.enter: pmap, cpu or vpage out of range";
+  (match Int_tbl.find t.forward key with
+  | old -> remove_entry t old
+  | exception Not_found -> ());
   let e = { pmap; cpu; vpage; lpage; prot; phys } in
-  Hashtbl.replace t.forward key e;
-  Hashtbl.replace (reverse_bucket t lpage) key e;
+  Int_tbl.replace t.forward key e;
+  link_reverse t e;
   match t.pt with
   | Some pt -> Pt.enter pt ~pmap ~cpu ~vpage ~lpage ~frame:(pte_frame phys) ~prot
   | None -> ()
 
-let lookup t ~pmap ~cpu ~vpage =
-  Hashtbl.find_opt t.forward { k_pmap = pmap; k_cpu = cpu; k_vpage = vpage }
+let lookup t ~pmap ~cpu ~vpage = Int_tbl.find_opt t.forward (key ~pmap ~cpu ~vpage)
 
 (* The fast path: consult the CPU's software TLB first, fill it from the
    forward table on a miss. Entries are shared records, so protection
@@ -94,9 +102,7 @@ let translate t ~pmap ~cpu ~vpage =
   match Tlb.lookup tlb ~pmap ~vpage with
   | Some _ as hit -> hit
   | None ->
-      let found =
-        Hashtbl.find_opt t.forward { k_pmap = pmap; k_cpu = cpu; k_vpage = vpage }
-      in
+      let found = lookup t ~pmap ~cpu ~vpage in
       (* A miss is where the hardware would walk: charge the multi-level
          table walk when tables are materialised. A walk that finds no
          PTE (the fault path) still reads the levels that exist. *)
@@ -139,12 +145,10 @@ let remove t ~pmap ~cpu ~vpage =
   | Some e -> remove_entry t e
 
 let entries_of_lpage t ~lpage =
-  match Hashtbl.find_opt t.reverse lpage with
-  | None -> []
-  | Some b -> Hashtbl.fold (fun _ e acc -> e :: acc) b []
+  if lpage >= 0 && lpage < Array.length t.reverse then t.reverse.(lpage) else []
 
 let entries_of_pmap t ~pmap =
-  Hashtbl.fold (fun _ e acc -> if e.pmap = pmap then e :: acc else acc) t.forward []
+  Int_tbl.fold (fun _ e acc -> if e.pmap = pmap then e :: acc else acc) t.forward []
 
 let iter_range t ~pmap ~vpage ~n f =
   for v = vpage to vpage + n - 1 do
@@ -160,7 +164,7 @@ let remove_range t ~pmap ~vpage ~n =
   iter_range t ~pmap ~vpage ~n (fun e -> doomed := e :: !doomed);
   List.iter (remove_entry t) !doomed
 
-let n_mappings t = Hashtbl.length t.forward
+let n_mappings t = Int_tbl.length t.forward
 
 let phys_location ~cpu = function
   | Global_frame _ -> Location.In_global

@@ -8,7 +8,14 @@
     reason.
 
     A reverse index from logical page to the mappings that reach it backs
-    [pmap_remove_all]-style protocol actions. *)
+    [pmap_remove_all]-style protocol actions.
+
+    Representation: the forward map is keyed on one packed int — vpage
+    in the low 40 bits, cpu in the next 8, pmap above (so pmap < 2^14) —
+    and the reverse index is an array indexed by logical page, grown on
+    demand to the highest page mapped, holding each page's mappings
+    newest first. Neither allocates a key on lookup; {!enter} rejects
+    coordinates that do not fit the packing. *)
 
 type phys = Frame of Frame_table.local_frame | Global_frame of int
 
@@ -40,7 +47,9 @@ val pt : t -> Pt.t option
 val enter :
   t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> prot:Prot.t -> phys:phys -> unit
 (** Install or replace a mapping. Replacement shoots down any cached
-    translation of the old mapping. *)
+    translation of the old mapping. Raises [Invalid_argument] when [cpu]
+    is not a CPU of the machine, [lpage] is negative, or
+    [vpage >= 2^40] or [pmap >= 2^14]. *)
 
 val lookup : t -> pmap:int -> cpu:int -> vpage:int -> entry option
 
@@ -70,7 +79,8 @@ val remove_entry : t -> entry -> unit
 
 val entries_of_lpage : t -> lpage:int -> entry list
 (** Every mapping, on any processor and in any pmap, that reaches the
-    logical page. *)
+    logical page, newest first. Allocation-free: the list is the index's
+    own, and stays a valid snapshot while the caller removes entries. *)
 
 val entries_of_pmap : t -> pmap:int -> entry list
 (** Every mapping of one pmap. Linear in the total number of mappings;

@@ -36,25 +36,41 @@ type pte = {
    pool refused (the pseudo-page [prefix] picks the stripe home). *)
 type home = Local of Frame_table.local_frame | Global of int
 
+(* Both maps of a table are keyed on one packed int, so a lookup hashes
+   an immediate instead of a tuple. A table page is keyed
+   [(prefix lsl 2) lor level] (there are fewer than 4 levels). A leaf PTE
+   is keyed [(cpu lsl 40) lor vpage], so int order on PTE keys is
+   (cpu, vpage) order; [enter] rejects a cpu or vpage that does not fit. *)
+let page_key ~level ~prefix = (prefix lsl 2) lor level
+let vpage_bits = 40
+let pte_key ~cpu ~vpage = (cpu lsl vpage_bits) lor vpage
+let pte_key_fits ~cpu ~vpage = cpu lsr (62 - vpage_bits) = 0 && vpage lsr vpage_bits = 0
+let unpack_pte_key k = (k lsr vpage_bits, k land ((1 lsl vpage_bits) - 1))
+
 type table = {
   t_node : int;  (** master: first-touch node; replica: its node *)
-  pages : (int * int, home) Hashtbl.t;  (** (level, prefix) -> page home *)
-  ptes : (int * int, pte) Hashtbl.t;  (** (cpu, vpage) -> leaf entry *)
+  pages : home Int_tbl.t;  (** [page_key] -> page home *)
+  ptes : pte Int_tbl.t;  (** [pte_key] -> leaf entry *)
 }
 
 type space = {
   sp_pmap : int;
   master : table;
-  replicas : (int, table) Hashtbl.t;  (** node -> full table copy *)
+  replicas : table Int_tbl.t;  (** node -> full table copy *)
 }
+
+(* The two nanosecond totals live in a float array, which holds them
+   unboxed: a mutable float field beside int fields boxes on every
+   update. *)
+let walk_slot = 0
+let shootdown_slot = 1
 
 type counters = {
   mutable c_walks : int;
   mutable c_walk_levels : int;
-  mutable c_walk_ns : float;
+  c_ns : float array;  (** indexed by [walk_slot] and [shootdown_slot] *)
   mutable c_pte_updates : int;
   mutable c_pte_shootdowns : int;
-  mutable c_shootdown_ns : float;
   mutable c_replicas_built : int;
   mutable c_replicas_dropped : int;
   mutable c_global_pt_pages : int;
@@ -69,7 +85,7 @@ type t = {
   frames : Frame_table.t;
   sink : Cost_sink.t;
   obs : Hub.t;
-  spaces : (int, space) Hashtbl.t;  (** pmap -> its tables *)
+  spaces : space Int_tbl.t;  (** pmap -> its tables *)
   c : counters;
 }
 
@@ -83,15 +99,14 @@ let create ?obs ~config ~frames ~sink ~mode () =
     frames;
     sink;
     obs = (match obs with Some h -> h | None -> Hub.create ());
-    spaces = Hashtbl.create 8;
+    spaces = Int_tbl.create 8;
     c =
       {
         c_walks = 0;
         c_walk_levels = 0;
-        c_walk_ns = 0.;
+        c_ns = [| 0.; 0. |];
         c_pte_updates = 0;
         c_pte_shootdowns = 0;
-        c_shootdown_ns = 0.;
         c_replicas_built = 0;
         c_replicas_dropped = 0;
         c_global_pt_pages = 0;
@@ -129,42 +144,58 @@ let free_page t = function
   | Global _ -> ()
 
 let ensure_page t tbl ~alloc_node ~level ~prefix =
-  match Hashtbl.find_opt tbl.pages (level, prefix) with
-  | Some home -> home
-  | None ->
-      let home = alloc_page t ~node:alloc_node ~prefix in
-      Hashtbl.replace tbl.pages (level, prefix) home;
-      home
+  let key = page_key ~level ~prefix in
+  if not (Int_tbl.mem tbl.pages key) then
+    Int_tbl.replace tbl.pages key (alloc_page t ~node:alloc_node ~prefix)
 
+let leaf_page_key t vpage =
+  let level = t.levels - 1 in
+  page_key ~level ~prefix:(prefix_at t ~level vpage)
+
+(* Path pages are only ever added a whole path at a time (here, or copied
+   wholesale by [build_replica]), so a present leaf page means every page
+   above it is present too: one lookup settles the common case. *)
 let ensure_path t tbl ~alloc_node ~vpage =
-  for level = 0 to t.levels - 1 do
-    ignore (ensure_page t tbl ~alloc_node ~level ~prefix:(prefix_at t ~level vpage))
-  done
+  if not (Int_tbl.mem tbl.pages (leaf_page_key t vpage)) then
+    for level = 0 to t.levels - 1 do
+      ensure_page t tbl ~alloc_node ~level ~prefix:(prefix_at t ~level vpage)
+    done
 
 let new_table t ~node =
-  let tbl = { t_node = node; pages = Hashtbl.create 16; ptes = Hashtbl.create 64 } in
-  ignore (ensure_page t tbl ~alloc_node:node ~level:0 ~prefix:0);
+  let tbl = { t_node = node; pages = Int_tbl.create 16; ptes = Int_tbl.create 64 } in
+  ensure_page t tbl ~alloc_node:node ~level:0 ~prefix:0;
   tbl
 
 let online t ~node = Frame_table.node_online t.frames ~node
+
+(* A table's pages root first, then by prefix. The loops that allocate a
+   frame per page walk them in this fixed order, so which pages fall back
+   to the shared level when a pool runs dry never depends on the hash
+   table's layout — and it is leaves, not the pages every walk reads,
+   that fall back. *)
+let pages_by_level tbl =
+  let level_major k = ((k land 3) lsl 60) lor (k lsr 2) in
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare (level_major a) (level_major b))
+    (Int_tbl.fold (fun key home acc -> (key, home) :: acc) tbl.pages [])
 
 (* Materialise a full copy of the master on [node]: every table page is
    copied (a real page copy, charged to [by_cpu] like any other), every
    PTE mirrored. *)
 let build_replica t space ~node ~by_cpu =
-  let r = { t_node = node; pages = Hashtbl.create 16; ptes = Hashtbl.create 64 } in
+  let r = { t_node = node; pages = Int_tbl.create 16; ptes = Int_tbl.create 64 } in
   let copied = ref 0 in
-  Hashtbl.iter
-    (fun (level, prefix) src_home ->
-      let dst_home = alloc_page t ~node ~prefix in
-      Hashtbl.replace r.pages (level, prefix) dst_home;
+  List.iter
+    (fun (key, src_home) ->
+      let dst_home = alloc_page t ~node ~prefix:(key lsr 2) in
+      Int_tbl.replace r.pages key dst_home;
       incr copied;
-      Cost_sink.charge t.sink ~cpu:by_cpu ~cat:Profile.Page_copy
+      Cost_sink.charge t.sink ~cpu:by_cpu ~cat:Profile.Page_copy ~lpage:(-1)
         (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:by_cpu
            ~src:(home_place t src_home) ~dst:(home_place t dst_home)))
-    space.master.pages;
-  Hashtbl.iter (fun k pte -> Hashtbl.replace r.ptes k pte) space.master.ptes;
-  Hashtbl.replace space.replicas node r;
+    (pages_by_level space.master);
+  Int_tbl.iter (fun k pte -> Int_tbl.replace r.ptes k pte) space.master.ptes;
+  Int_tbl.replace space.replicas node r;
   t.c.c_replicas_built <- t.c.c_replicas_built + 1;
   if Hub.enabled t.obs then
     Hub.emit t.obs
@@ -172,13 +203,13 @@ let build_replica t space ~node ~by_cpu =
   r
 
 let ensure_space t ~pmap ~cpu =
-  match Hashtbl.find_opt t.spaces pmap with
-  | Some sp -> sp
-  | None ->
+  match Int_tbl.find t.spaces pmap with
+  | sp -> sp
+  | exception Not_found ->
       let sp =
-        { sp_pmap = pmap; master = new_table t ~node:cpu; replicas = Hashtbl.create 4 }
+        { sp_pmap = pmap; master = new_table t ~node:cpu; replicas = Int_tbl.create 4 }
       in
-      Hashtbl.replace t.spaces pmap sp;
+      Int_tbl.replace t.spaces pmap sp;
       (match t.mode with
       | Replicated None ->
           for node = 0 to Topo.cpu_nodes t.topo - 1 do
@@ -191,24 +222,25 @@ let ensure_space t ~pmap ~cpu =
 (* --- PTE propagation ----------------------------------------------------- *)
 
 let leaf_home t tbl ~vpage =
-  match Hashtbl.find_opt tbl.pages (t.levels - 1, prefix_at t ~level:(t.levels - 1) vpage)
-  with
-  | Some home -> home_node t home
-  | None -> tbl.t_node
+  match Int_tbl.find tbl.pages (leaf_page_key t vpage) with
+  | home -> home_node t home
+  | exception Not_found -> tbl.t_node
+
+(* The price of storing a PTE into replica [r]'s leaf page: the matrix
+   cell [Cost.node_reference_ns] returns, read here so it stays unboxed. *)
+let pte_store_ns t ~cpu r ~vpage = t.topo.Topo.store_ns.(cpu).(leaf_home t r ~vpage)
 
 (* A silent propagation: the new PTE value is stored into each replica's
    leaf page (remote store at matrix latency). *)
 let propagate_update t space ~cpu ~vpage ~lpage pte =
-  Hashtbl.iter
+  let key = pte_key ~cpu ~vpage in
+  Int_tbl.iter
     (fun _node r ->
       ensure_path t r ~alloc_node:r.t_node ~vpage;
-      Hashtbl.replace r.ptes (cpu, vpage) pte;
-      let ns =
-        Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
-          ~node:(leaf_home t r ~vpage)
-      in
+      Int_tbl.replace r.ptes key pte;
+      let ns = pte_store_ns t ~cpu r ~vpage in
       t.c.c_pte_updates <- t.c.c_pte_updates + 1;
-      t.c.c_shootdown_ns <- t.c.c_shootdown_ns +. ns;
+      t.c.c_ns.(shootdown_slot) <- t.c.c_ns.(shootdown_slot) +. ns;
       Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_shootdown ~lpage ns)
     space.replicas
 
@@ -216,19 +248,16 @@ let propagate_update t space ~cpu ~vpage ~lpage pte =
    (or cleared) and the remote node pays the IPI-style interrupt, so the
    cost is the remote store plus the configured shootdown service time. *)
 let propagate_shootdown t space ~cpu ~vpage ~lpage pte_opt =
-  Hashtbl.iter
+  let key = pte_key ~cpu ~vpage in
+  Int_tbl.iter
     (fun node r ->
-      if Hashtbl.mem r.ptes (cpu, vpage) then begin
+      if Int_tbl.mem r.ptes key then begin
         (match pte_opt with
-        | Some pte -> Hashtbl.replace r.ptes (cpu, vpage) pte
-        | None -> Hashtbl.remove r.ptes (cpu, vpage));
-        let ns =
-          Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
-            ~node:(leaf_home t r ~vpage)
-          +. Cost.tlb_shootdown_ns t.config
-        in
+        | Some pte -> Int_tbl.replace r.ptes key pte
+        | None -> Int_tbl.remove r.ptes key);
+        let ns = pte_store_ns t ~cpu r ~vpage +. t.config.Config.tlb_shootdown_ns in
         t.c.c_pte_shootdowns <- t.c.c_pte_shootdowns + 1;
-        t.c.c_shootdown_ns <- t.c.c_shootdown_ns +. ns;
+        t.c.c_ns.(shootdown_slot) <- t.c.c_ns.(shootdown_slot) +. ns;
         Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_shootdown ~lpage ns;
         if Hub.enabled t.obs then
           Hub.emit t.obs (Event.Pt_shootdown { cpu; vpage; lpage; node })
@@ -236,28 +265,31 @@ let propagate_shootdown t space ~cpu ~vpage ~lpage pte_opt =
     space.replicas
 
 let enter t ~pmap ~cpu ~vpage ~lpage ~frame ~prot =
+  if not (pte_key_fits ~cpu ~vpage) then
+    invalid_arg "Pt.enter: cpu or vpage out of range";
   let sp = ensure_space t ~pmap ~cpu in
   ensure_path t sp.master ~alloc_node:cpu ~vpage;
   let pte = { pte_lpage = lpage; pte_frame = frame; pte_prot = prot } in
-  Hashtbl.replace sp.master.ptes (cpu, vpage) pte;
+  Int_tbl.replace sp.master.ptes (pte_key ~cpu ~vpage) pte;
   propagate_update t sp ~cpu ~vpage ~lpage pte
 
 let remove t ~pmap ~cpu ~vpage ~lpage =
-  match Hashtbl.find_opt t.spaces pmap with
-  | None -> ()
-  | Some sp ->
-      Hashtbl.remove sp.master.ptes (cpu, vpage);
+  match Int_tbl.find t.spaces pmap with
+  | exception Not_found -> ()
+  | sp ->
+      Int_tbl.remove sp.master.ptes (pte_key ~cpu ~vpage);
       propagate_shootdown t sp ~cpu ~vpage ~lpage None
 
 let update_pte t ~pmap ~cpu ~vpage ~lpage f =
-  match Hashtbl.find_opt t.spaces pmap with
-  | None -> ()
-  | Some sp -> (
-      match Hashtbl.find_opt sp.master.ptes (cpu, vpage) with
-      | None -> ()
-      | Some old ->
+  match Int_tbl.find t.spaces pmap with
+  | exception Not_found -> ()
+  | sp -> (
+      let key = pte_key ~cpu ~vpage in
+      match Int_tbl.find sp.master.ptes key with
+      | exception Not_found -> ()
+      | old ->
           let pte = f old in
-          Hashtbl.replace sp.master.ptes (cpu, vpage) pte;
+          Int_tbl.replace sp.master.ptes key pte;
           propagate_shootdown t sp ~cpu ~vpage ~lpage (Some pte))
 
 let update_phys t ~pmap ~cpu ~vpage ~lpage ~frame =
@@ -280,38 +312,39 @@ let walk t ~pmap ~cpu ~vpage ~lpage =
         | Replicated cap -> (
             if cpu = sp.master.t_node then sp.master
             else
-              match Hashtbl.find_opt sp.replicas cpu with
-              | Some r -> r
-              | None -> (
+              match Int_tbl.find sp.replicas cpu with
+              | r -> r
+              | exception Not_found -> (
                   (* On demand: the first local walk pays for mitosis, up
                      to the cap; past it, keep walking the master. *)
                   match cap with
-                  | Some n when Hashtbl.length sp.replicas < n && online t ~node:cpu ->
+                  | Some n when Int_tbl.length sp.replicas < n && online t ~node:cpu ->
                       build_replica t sp ~node:cpu ~by_cpu:cpu
                   | Some _ -> sp.master
                   | None -> sp.master))
       in
       (* Read down the radix path: one fetch per existing level, each at
-         the matrix latency to wherever that table page lives. The walk
-         stops at the first absent page (a fault-path walk reads the
-         levels that exist and finds no entry). *)
+         the matrix latency to wherever that table page lives (the cell
+         [Cost.node_reference_ns] returns). The walk stops at the first
+         absent page (a fault-path walk reads the levels that exist and
+         finds no entry). Levels are read from the root, so [read] is
+         also the next level's index. *)
+      let fetch_row = t.topo.Topo.fetch_ns.(cpu) in
       let read = ref 0 in
       let ns = ref 0. in
-      (try
-         for level = 0 to t.levels - 1 do
-           match Hashtbl.find_opt tbl.pages (level, prefix_at t ~level vpage) with
-           | Some home ->
-               incr read;
-               ns :=
-                 !ns
-                 +. Cost.node_reference_ns ~topo:t.topo ~access:Access.Load ~cpu
-                      ~node:(home_node t home)
-           | None -> raise Exit
-         done
-       with Exit -> ());
+      let absent = ref false in
+      while (not !absent) && !read < t.levels do
+        let level = !read in
+        let key = page_key ~level ~prefix:(prefix_at t ~level vpage) in
+        match Int_tbl.find tbl.pages key with
+        | home ->
+            ns := !ns +. fetch_row.(home_node t home);
+            incr read
+        | exception Not_found -> absent := true
+      done;
       t.c.c_walks <- t.c.c_walks + 1;
       t.c.c_walk_levels <- t.c.c_walk_levels + !read;
-      t.c.c_walk_ns <- t.c.c_walk_ns +. !ns;
+      t.c.c_ns.(walk_slot) <- t.c.c_ns.(walk_slot) +. !ns;
       Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_walk ~lpage !ns;
       if Hub.enabled t.obs then
         Hub.emit t.obs (Event.Pt_walk { cpu; vpage; lpage; levels = !read; ns = !ns })
@@ -319,14 +352,14 @@ let walk t ~pmap ~cpu ~vpage ~lpage =
 (* --- degradation and the daemon ------------------------------------------ *)
 
 let sorted_pmaps t =
-  List.sort Int.compare (Hashtbl.fold (fun pmap _ acc -> pmap :: acc) t.spaces [])
+  List.sort Int.compare (Int_tbl.fold (fun pmap _ acc -> pmap :: acc) t.spaces [])
 
 let drop_replica t space ~node =
-  match Hashtbl.find_opt space.replicas node with
-  | None -> ()
-  | Some r ->
-      Hashtbl.iter (fun _ home -> free_page t home) r.pages;
-      Hashtbl.remove space.replicas node;
+  match Int_tbl.find space.replicas node with
+  | exception Not_found -> ()
+  | r ->
+      Int_tbl.iter (fun _ home -> free_page t home) r.pages;
+      Int_tbl.remove space.replicas node;
       t.c.c_replicas_dropped <- t.c.c_replicas_dropped + 1;
       if Hub.enabled t.obs then
         Hub.emit t.obs (Event.Pt_replica_drop { pmap = space.sp_pmap; node })
@@ -334,17 +367,17 @@ let drop_replica t space ~node =
 let node_offline t ~node =
   List.iter
     (fun pmap ->
-      let sp = Hashtbl.find t.spaces pmap in
+      let sp = Int_tbl.find t.spaces pmap in
       drop_replica t sp ~node;
       (* Master pages living on the dying node move to the nearest online
          pool (or the shared level): the table must outlive the memory. *)
       let doomed =
-        Hashtbl.fold
-          (fun key home acc ->
+        List.filter
+          (fun (_, home) ->
             match home with
-            | Local f when f.Frame_table.node = node -> (key, home) :: acc
-            | Local _ | Global _ -> acc)
-          sp.master.pages []
+            | Local f -> f.Frame_table.node = node
+            | Global _ -> false)
+          (pages_by_level sp.master)
       in
       let target =
         Topo.nearest_cpu t.topo ~from:node ~ok:(fun n ->
@@ -353,8 +386,9 @@ let node_offline t ~node =
                < Frame_table.local_capacity t.frames ~node:n)
       in
       List.iter
-        (fun ((level, prefix), home) ->
+        (fun (key, home) ->
           free_page t home;
+          let prefix = key lsr 2 in
           let fresh =
             match target with
             | Some n -> alloc_page t ~node:n ~prefix
@@ -362,8 +396,8 @@ let node_offline t ~node =
                 t.c.c_global_pt_pages <- t.c.c_global_pt_pages + 1;
                 Global prefix
           in
-          Hashtbl.replace sp.master.pages (level, prefix) fresh;
-          Cost_sink.charge t.sink ~cpu:node ~cat:Profile.Page_copy
+          Int_tbl.replace sp.master.pages key fresh;
+          Cost_sink.charge t.sink ~cpu:node ~cat:Profile.Page_copy ~lpage:(-1)
             (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:node
                ~src:(home_place t home) ~dst:(home_place t fresh)))
         doomed)
@@ -376,11 +410,11 @@ let daemon_sweep t ~by_cpu =
       let built = ref 0 in
       List.iter
         (fun pmap ->
-          let sp = Hashtbl.find t.spaces pmap in
+          let sp = Int_tbl.find t.spaces pmap in
           for node = 0 to Topo.cpu_nodes t.topo - 1 do
             if
               node <> sp.master.t_node && online t ~node
-              && not (Hashtbl.mem sp.replicas node)
+              && not (Int_tbl.mem sp.replicas node)
             then begin
               ignore (build_replica t sp ~node ~by_cpu);
               incr built
@@ -396,21 +430,23 @@ let corrupt_replica t ~lpage =
   List.iter
     (fun pmap ->
       if !hit = None then
-        let sp = Hashtbl.find t.spaces pmap in
+        let sp = Int_tbl.find t.spaces pmap in
         let nodes =
-          List.sort Int.compare (Hashtbl.fold (fun n _ acc -> n :: acc) sp.replicas [])
+          List.sort Int.compare (Int_tbl.fold (fun n _ acc -> n :: acc) sp.replicas [])
         in
         List.iter
           (fun node ->
             if !hit = None then
-              let r = Hashtbl.find sp.replicas node in
+              let r = Int_tbl.find sp.replicas node in
+              (* The lowest (cpu, vpage) mapping the page: PTE keys order
+                 as their (cpu, vpage) pairs do. *)
               let victim =
-                Hashtbl.fold
+                Int_tbl.fold
                   (fun key pte best ->
                     if pte.pte_lpage <> lpage then best
                     else
                       match best with
-                      | Some (k, _) when compare k key <= 0 -> best
+                      | Some (k, _) when k <= key -> best
                       | _ -> Some (key, pte))
                   r.ptes None
               in
@@ -420,7 +456,7 @@ let corrupt_replica t ~lpage =
                   (* Retarget the replica PTE at the wrong logical page —
                      exactly the stale translation a missed shootdown
                      would leave behind. *)
-                  Hashtbl.replace r.ptes key { pte with pte_lpage = pte.pte_lpage + 1 };
+                  Int_tbl.replace r.ptes key { pte with pte_lpage = pte.pte_lpage + 1 };
                   hit := Some (pmap, node))
           nodes)
     (sorted_pmaps t);
@@ -430,54 +466,59 @@ let corrupt_replica t ~lpage =
 
 let pmaps t = sorted_pmaps t
 
+let find_pte tbl ~cpu ~vpage =
+  if pte_key_fits ~cpu ~vpage then Int_tbl.find_opt tbl.ptes (pte_key ~cpu ~vpage)
+  else None
+
 let master_pte t ~pmap ~cpu ~vpage =
-  match Hashtbl.find_opt t.spaces pmap with
+  match Int_tbl.find_opt t.spaces pmap with
   | None -> None
-  | Some sp -> Hashtbl.find_opt sp.master.ptes (cpu, vpage)
+  | Some sp -> find_pte sp.master ~cpu ~vpage
 
 let replica_nodes t ~pmap =
-  match Hashtbl.find_opt t.spaces pmap with
+  match Int_tbl.find_opt t.spaces pmap with
   | None -> []
   | Some sp ->
-      List.sort Int.compare (Hashtbl.fold (fun n _ acc -> n :: acc) sp.replicas [])
+      List.sort Int.compare (Int_tbl.fold (fun n _ acc -> n :: acc) sp.replicas [])
 
 let replica_pte t ~pmap ~node ~cpu ~vpage =
-  match Hashtbl.find_opt t.spaces pmap with
+  match Int_tbl.find_opt t.spaces pmap with
   | None -> None
   | Some sp -> (
-      match Hashtbl.find_opt sp.replicas node with
+      match Int_tbl.find_opt sp.replicas node with
       | None -> None
-      | Some r -> Hashtbl.find_opt r.ptes (cpu, vpage))
+      | Some r -> find_pte r ~cpu ~vpage)
 
-let table_ptes tbl = Hashtbl.fold (fun key pte acc -> (key, pte) :: acc) tbl.ptes []
+let table_ptes tbl =
+  Int_tbl.fold (fun key pte acc -> (unpack_pte_key key, pte) :: acc) tbl.ptes []
 
 let master_ptes t ~pmap =
-  match Hashtbl.find_opt t.spaces pmap with
+  match Int_tbl.find_opt t.spaces pmap with
   | None -> []
   | Some sp -> table_ptes sp.master
 
 let replica_ptes t ~pmap ~node =
-  match Hashtbl.find_opt t.spaces pmap with
+  match Int_tbl.find_opt t.spaces pmap with
   | None -> []
   | Some sp -> (
-      match Hashtbl.find_opt sp.replicas node with
+      match Int_tbl.find_opt sp.replicas node with
       | None -> []
       | Some r -> table_ptes r)
 
 let table_frames t =
   let acc = ref [] in
   let add_table tbl =
-    Hashtbl.iter
+    Int_tbl.iter
       (fun _ home ->
         match home with
         | Local f -> acc := (f.Frame_table.node, f) :: !acc
         | Global _ -> ())
       tbl.pages
   in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ sp ->
       add_table sp.master;
-      Hashtbl.iter (fun _ r -> add_table r) sp.replicas)
+      Int_tbl.iter (fun _ r -> add_table r) sp.replicas)
     t.spaces;
   !acc
 
@@ -498,10 +539,10 @@ let stats t =
   {
     walks = t.c.c_walks;
     walk_levels = t.c.c_walk_levels;
-    walk_ns = t.c.c_walk_ns;
+    walk_ns = t.c.c_ns.(walk_slot);
     pte_updates = t.c.c_pte_updates;
     pte_shootdowns = t.c.c_pte_shootdowns;
-    shootdown_ns = t.c.c_shootdown_ns;
+    shootdown_ns = t.c.c_ns.(shootdown_slot);
     replicas_built = t.c.c_replicas_built;
     replicas_dropped = t.c.c_replicas_dropped;
     pt_frames =

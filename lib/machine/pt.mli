@@ -24,7 +24,18 @@
     functional truth of translation stays in {!Mmu}'s forward table, so
     attaching a [Pt.t] changes timings and counters but never behaviour,
     and not attaching one ([--pt-mode none]) reproduces the free-walk
-    simulator byte for byte. *)
+    simulator byte for byte.
+
+    Representation: each table is two {!Int_tbl}s keyed on packed ints,
+    so no lookup hashes or compares a tuple. A table page at radix
+    [level] is keyed [(prefix lsl 2) lor level]; a leaf PTE is keyed
+    [(cpu lsl 40) lor vpage], so int order on PTE keys is (cpu, vpage)
+    order. Path pages are only ever added a whole root-to-leaf path at a
+    time (or copied wholesale into a replica), so a present leaf page
+    implies its whole path: installing a PTE under an existing leaf page
+    costs one lookup. Walk and shootdown prices read the topology's
+    fetch/store matrix cells directly — the values
+    {!Cost.node_reference_ns} returns. *)
 
 type mode =
   | Off  (** no materialised tables: translation is free, as before *)
@@ -72,7 +83,9 @@ val enter :
   frame:Frame_table.local_frame option -> prot:Prot.t -> unit
 (** Install the PTE in the master table (allocating path pages
     first-touch from [cpu]'s pool, falling back to the shared level when
-    the pool refuses) and propagate it into every replica. *)
+    the pool refuses) and propagate it into every replica. Raises
+    [Invalid_argument] when [vpage] is outside [0, 2^40) or [cpu] outside
+    [0, 2^22), which the key packing cannot hold. *)
 
 val remove : t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> unit
 (** Clear the PTE everywhere; each replica invalidation is a shootdown
@@ -126,7 +139,8 @@ val replica_nodes : t -> pmap:int -> int list
 val replica_pte : t -> pmap:int -> node:int -> cpu:int -> vpage:int -> pte option
 
 val replica_ptes : t -> pmap:int -> node:int -> ((int * int) * pte) list
-(** [((cpu, vpage), pte)] for every PTE in the replica, unordered. *)
+(** [((cpu, vpage), pte)] for every PTE in the replica, unordered (the
+    pairs are unpacked from the keys). *)
 
 val master_ptes : t -> pmap:int -> ((int * int) * pte) list
 

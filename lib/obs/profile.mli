@@ -35,12 +35,24 @@ type kernel_cat =
 
 val kernel_cat_name : kernel_cat -> string
 
+val kernel_idx : kernel_cat -> int
+(** Dense index in [0, 9), in declaration order. *)
+
+val kernel_cat_of_idx : int -> kernel_cat
+(** Inverse of {!kernel_idx}. *)
+
 type context =
   | App  (** charged while serving the workload's own accesses *)
   | Daemon  (** charged from the reconsideration daemon's tick *)
   | Degradation  (** charged while applying injected faults *)
 
 val context_name : context -> string
+
+val ctx_idx : context -> int
+(** Dense index in [0, 3), in declaration order. *)
+
+val context_of_idx : int -> context
+(** Inverse of {!ctx_idx}. *)
 
 type t
 

@@ -17,7 +17,7 @@ let error_to_string = function
   | Out_of_memory -> "logical page pool exhausted"
 
 let handle ctx (task : Task.t) ~cpu ~vpage ~access =
-  Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Fault_trap
+  Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Fault_trap ~lpage:(-1)
     (Cost.fault_trap_ns ctx.config);
   match Vm_map.region_at task.map ~vpage with
   | None -> Error No_region
@@ -54,7 +54,7 @@ let handle ctx (task : Task.t) ~cpu ~vpage ~access =
               match ctx.pageout with
               | Some daemon when Pageout.ensure_free ~by_cpu:cpu daemon ~needed:1 ->
                   Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Pmap_action
-                    (Cost.pmap_action_ns ctx.config);
+                    ~lpage:(-1) (Cost.pmap_action_ns ctx.config);
                   materialise ()
               | Some _ | None -> Error `Pool_exhausted)
         in

@@ -84,9 +84,9 @@ let test_prot_lattice () =
 
 let test_cost_sink () =
   let s = Cost_sink.create ~n_cpus:2 in
-  Cost_sink.charge s ~cpu:0 100.;
-  Cost_sink.charge s ~cpu:0 50.;
-  Cost_sink.charge s ~cpu:1 10.;
+  Cost_sink.charge s ~cpu:0 ~cat:Numa_obs.Profile.Pmap_action ~lpage:(-1) 100.;
+  Cost_sink.charge s ~cpu:0 ~cat:Numa_obs.Profile.Pmap_action ~lpage:(-1) 50.;
+  Cost_sink.charge s ~cpu:1 ~cat:Numa_obs.Profile.Pmap_action ~lpage:(-1) 10.;
   Alcotest.(check (float 1e-9)) "pending" 150. (Cost_sink.pending s ~cpu:0);
   Alcotest.(check (float 1e-9)) "drain" 150. (Cost_sink.drain s ~cpu:0);
   Alcotest.(check (float 1e-9)) "drained" 0. (Cost_sink.pending s ~cpu:0);
@@ -95,7 +95,7 @@ let test_cost_sink () =
   Alcotest.(check (float 1e-9)) "grand total" 160. (Cost_sink.grand_total s);
   Alcotest.check_raises "negative charge"
     (Invalid_argument "Cost_sink.charge: negative charge") (fun () ->
-      Cost_sink.charge s ~cpu:0 (-1.))
+      Cost_sink.charge s ~cpu:0 ~cat:Numa_obs.Profile.Pmap_action ~lpage:(-1) (-1.))
 
 (* --- frame table --------------------------------------------------------------- *)
 

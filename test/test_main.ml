@@ -21,6 +21,7 @@ let () =
       ("obs", Test_obs.suite);
       ("lang", Test_lang.suite);
       ("properties", Test_properties.suite);
+      ("fault-path", Test_fault_path.suite);
       ("faults", Test_faults.suite);
       ("profile", Test_profile.suite);
       ("pt", Test_pt.suite);
