@@ -17,6 +17,7 @@ let check ?pinned ?pool ?requests ~manager ~mmu ~frames ~(config : Config.t) () 
   let paging_checked = ref 0 in
   let pt_checked = ref 0 in
   let paging = Frame_table.paging frames in
+  let topo = Config.topology config in
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   for lpage = 0 to config.Config.global_pages - 1 do
     let state = Numa_manager.state_of manager ~lpage in
@@ -29,6 +30,17 @@ let check ?pinned ?pool ?requests ~manager ~mmu ~frames ~(config : Config.t) () 
     let mappings = Mmu.entries_of_lpage mmu ~lpage in
     mappings_checked := !mappings_checked + List.length mappings;
     replicas_checked := !replicas_checked + List.length replicas;
+    (* A TLB hit prices and buckets the reference by the [node] and
+       [where] fixed at [Mmu.enter]; they must still describe [phys]. *)
+    List.iter
+      (fun (e : Mmu.entry) ->
+        let node = Mmu.phys_node ~topo e.phys in
+        if e.node <> node then
+          bad "page %d: mapping on cpu %d caches node %d but its frame is on node %d"
+            lpage e.cpu e.node node;
+        if e.where <> Mmu.phys_location ~cpu:e.cpu e.phys then
+          bad "page %d: mapping on cpu %d caches a stale relative location" lpage e.cpu)
+      mappings;
     (* Copies live where the directory says, in frames the pool still
        considers allocated, on memories that still exist. *)
     List.iter

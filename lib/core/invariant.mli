@@ -10,6 +10,9 @@
       node), and each read-only replica's cell equals the global
       master's — a read anywhere observes the coherent value;
     - no mapping or replica reaches a freed frame or an offline node;
+    - every mapping's cached [node] and [where] (what a TLB hit reads
+      instead of its frame) equal {!Numa_machine.Mmu.phys_node} and
+      {!Numa_machine.Mmu.phys_location} of its [phys];
     - a page the policy has pinned global holds no local copies.
 
     Unlike {!Numa_manager.check_invariants} (the first-failure variant the

@@ -77,6 +77,8 @@ let drain t ~cpu =
       t.queued.(cpu) <- 0);
   v
 
+let idle t ~cpu = t.pending.(cpu) = 0. && t.queued.(cpu) = 0
+
 let pending t ~cpu = t.pending.(cpu)
 
 let total_charged t ~cpu = t.cumulative.(cpu)

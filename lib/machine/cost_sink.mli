@@ -37,6 +37,11 @@ val drain : t -> cpu:int -> float
     queued charges to the attached profiler newest first (the order in
     which the profiler's float totals have always been summed). *)
 
+val idle : t -> cpu:int -> bool
+(** Whether {!drain} would return [0.] and profile nothing: no system
+    time pending and no charge queued. Lets the access path skip the
+    drain (and the float it returns boxed) on a TLB hit. *)
+
 val pending : t -> cpu:int -> float
 (** Peek without resetting. *)
 

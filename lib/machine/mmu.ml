@@ -6,11 +6,14 @@ type entry = {
   vpage : int;
   lpage : int;
   mutable prot : Prot.t;
-  mutable phys : phys;
+  phys : phys;
+  node : int;
+  where : Location.relative;
 }
 
 type t = {
   n_cpus : int;
+  topo : Topo.t;  (** homes the shared level's pages, for [entry.node] *)
   forward : entry Int_tbl.t;  (** [key pmap cpu vpage] -> mapping *)
   mutable reverse : entry list array;  (** lpage -> its mappings, newest first *)
   tlbs : entry Tlb.t array;  (** per-CPU software translation caches *)
@@ -30,12 +33,21 @@ let key ~pmap ~cpu ~vpage =
 let create ?obs (config : Config.t) =
   {
     n_cpus = config.n_cpus;
+    topo = Config.topology config;
     forward = Int_tbl.create 1024;
     reverse = [||];
     tlbs = Array.init config.n_cpus (fun _ -> Tlb.create ());
     obs = (match obs with Some h -> h | None -> Numa_obs.Hub.create ());
     pt = None;
   }
+
+let phys_location ~cpu = function
+  | Global_frame _ -> Location.In_global
+  | Frame f -> if f.Frame_table.node = cpu then Location.Local_here else Location.Remote_local
+
+let phys_node ~topo = function
+  | Frame f -> f.Frame_table.node
+  | Global_frame lpage -> Topo.global_home topo ~lpage
 
 let attach_pt t pt = t.pt <- Some pt
 let pt t = t.pt
@@ -84,7 +96,20 @@ let enter t ~pmap ~cpu ~vpage ~lpage ~prot ~phys =
   (match Int_tbl.find t.forward key with
   | old -> remove_entry t old
   | exception Not_found -> ());
-  let e = { pmap; cpu; vpage; lpage; prot; phys } in
+  (* [phys] is fixed for the mapping's life, so its node and relative
+     location are computed once here and read by every TLB hit. *)
+  let e =
+    {
+      pmap;
+      cpu;
+      vpage;
+      lpage;
+      prot;
+      phys;
+      node = phys_node ~topo:t.topo phys;
+      where = phys_location ~cpu phys;
+    }
+  in
   Int_tbl.replace t.forward key e;
   link_reverse t e;
   match t.pt with
@@ -94,9 +119,11 @@ let enter t ~pmap ~cpu ~vpage ~lpage ~prot ~phys =
 let lookup t ~pmap ~cpu ~vpage = Int_tbl.find_opt t.forward (key ~pmap ~cpu ~vpage)
 
 (* The fast path: consult the CPU's software TLB first, fill it from the
-   forward table on a miss. Entries are shared records, so protection
-   clamps and physical retargets done in place are visible on later hits;
-   only [remove_entry] needs to shoot entries down. *)
+   forward table on a miss. Entries are shared records, so a protection
+   clamp done in place is visible on later hits without a shootdown;
+   everything else about an entry is immutable, and retargeting a page
+   means a new entry, so only [remove_entry] needs to shoot entries
+   down. *)
 let translate t ~pmap ~cpu ~vpage =
   let tlb = t.tlbs.(cpu) in
   match Tlb.lookup tlb ~pmap ~vpage with
@@ -131,14 +158,6 @@ let set_prot t e prot =
       Pt.update_prot pt ~pmap:e.pmap ~cpu:e.cpu ~vpage:e.vpage ~lpage:e.lpage ~prot
   | None -> ()
 
-let set_phys t e phys =
-  e.phys <- phys;
-  match t.pt with
-  | Some pt ->
-      Pt.update_phys pt ~pmap:e.pmap ~cpu:e.cpu ~vpage:e.vpage ~lpage:e.lpage
-        ~frame:(pte_frame phys)
-  | None -> ()
-
 let remove t ~pmap ~cpu ~vpage =
   match lookup t ~pmap ~cpu ~vpage with
   | None -> ()
@@ -166,10 +185,3 @@ let remove_range t ~pmap ~vpage ~n =
 
 let n_mappings t = Int_tbl.length t.forward
 
-let phys_location ~cpu = function
-  | Global_frame _ -> Location.In_global
-  | Frame f -> if f.Frame_table.node = cpu then Location.Local_here else Location.Remote_local
-
-let phys_node ~topo = function
-  | Frame f -> f.Frame_table.node
-  | Global_frame lpage -> Topo.global_home topo ~lpage

@@ -25,7 +25,10 @@ type entry = private {
   vpage : int;
   lpage : int;
   mutable prot : Prot.t;
-  mutable phys : phys;
+      (** clamped in place by {!set_prot}; a TLB hit must test it *)
+  phys : phys;  (** fixed for the entry's life; a new target is a new entry *)
+  node : int;  (** [phys_node phys], computed once by {!enter} *)
+  where : Location.relative;  (** [phys_location ~cpu phys], likewise *)
 }
 
 type t
@@ -37,7 +40,7 @@ val create : ?obs:Numa_obs.Hub.t -> Config.t -> t
 
 val attach_pt : t -> Pt.t -> unit
 (** Materialise the page tables: from then on every mapping install /
-    retarget / protection change / removal is mirrored into the {!Pt}
+    protection change / removal is mirrored into the {!Pt}
     layer (master table plus replica shootdowns) and every software-TLB
     miss in {!translate} pays a charged multi-level walk. Without it (the
     default) translation stays free, exactly as before. *)
@@ -46,7 +49,8 @@ val pt : t -> Pt.t option
 
 val enter :
   t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> prot:Prot.t -> phys:phys -> unit
-(** Install or replace a mapping. Replacement shoots down any cached
+(** Install or replace a mapping, fixing its [node] (from the machine's
+    topology) and [where]. Replacement shoots down any cached
     translation of the old mapping. Raises [Invalid_argument] when [cpu]
     is not a CPU of the machine, [lpage] is negative, or
     [vpage >= 2^40] or [pmap >= 2^14]. *)
@@ -58,7 +62,14 @@ val translate : t -> pmap:int -> cpu:int -> vpage:int -> entry option
     ({!Tlb}): a hit resolves in O(1) without touching the forward hash
     table, a miss fills the cache. Counts one TLB hit or miss; use
     {!lookup} from paths (protocol actions, introspection) that should not
-    perturb the counters. *)
+    perturb the counters.
+
+    A cached entry is the mapping record itself. Protection clamps
+    ({!set_prot}) happen in place and are seen by the next hit without a
+    shootdown, so a hit must still test [prot]. Nothing else in an entry
+    changes: a page that moves gets a new entry through {!enter}, whose
+    replacement shoots the old one down. A hit may therefore trust
+    [phys], [node] and [where]. *)
 
 val tlb_hits : t -> int
 val tlb_misses : t -> int
@@ -70,7 +81,8 @@ val tlb_stats : t -> cpu:int -> int * int * int
     reporting. *)
 
 val set_prot : t -> entry -> Prot.t -> unit
-val set_phys : t -> entry -> phys -> unit
+(** Clamp or widen a mapping's protection in place (mirrored into the
+    page tables when attached). No TLB shootdown. *)
 
 val remove : t -> pmap:int -> cpu:int -> vpage:int -> unit
 (** Drop one mapping if present. *)

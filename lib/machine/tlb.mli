@@ -13,8 +13,8 @@
     Correctness contract: every path that drops or replaces a mapping must
     call {!invalidate} for the affected (cpu, pmap, vpage); {!Mmu} funnels
     all such drops through [remove_entry], which does. Entries whose
-    payload is mutated in place (protection clamp, physical retarget) need
-    no shootdown as the payload is shared, not copied. *)
+    payload is mutated in place (a protection clamp) need no shootdown as
+    the payload is shared, not copied. *)
 
 type 'a t
 

@@ -33,8 +33,10 @@ exception Event_budget_exceeded of int
 
 type step = Finished | Blocked of Op.t * (int, step) Effect.Deep.continuation
 
-(* The op currently being worked through, chunk by chunk. *)
+(* The op currently being worked through, chunk by chunk; [P_none]
+   between ops and after the thread finishes. *)
 type pending =
+  | P_none
   | P_refs of {
       vpage : int;
       access : Access.t;
@@ -68,7 +70,7 @@ type thread = {
   mutable cpu : int;
   stack_vpage : int option;
   mutable kont : (int, step) Effect.Deep.continuation option;
-  mutable pending : pending option;
+  mutable pending : pending;
   mutable finished : bool;
   mutable ready_at : float;
   mutable deadlines : (int * float) list;
@@ -87,7 +89,9 @@ type t = {
   clock : float array;
   user : float array;
   system : float array;
-  mutable vnow : float;
+  vnow : float array;
+      (* one cell: the monotone virtual clock, kept in a float array so
+         advancing it per event boxes nothing *)
   events : Event_queue.t;  (* (time, seq) -> tid *)
   mutable seq : int;
   threads : (int, thread) Hashtbl.t;
@@ -99,6 +103,13 @@ type t = {
   mutable spawn_rr : int;  (* round-robin cursor for default CPU assignment *)
   mutable next_timer_id : int;  (* deadline timer ids, allocated in event order *)
   mutable n_events : int;
+  out : float array;
+      (** the last chunk's outcome, written by {!outcome}: its user and
+          system durations ([out_user], [out_system]) and, for a chunk
+          that parks its thread, the ready time ([out_ready], else
+          [on_cpu]). Scratch, so a chunk allocates no record. *)
+  mutable out_completed : bool;  (** the last chunk finished its op *)
+  mutable out_result : int;  (** the finished op's result value *)
   mutable next_sync_id : int;
   mutable running : bool;
   mutable completed : bool;
@@ -126,7 +137,7 @@ let create ?obs config ~memory ~scheduler =
     clock = Array.make config.n_cpus 0.;
     user = Array.make config.n_cpus 0.;
     system = Array.make config.n_cpus 0.;
-    vnow = 0.;
+    vnow = [| 0. |];
     events = Event_queue.create ();
     seq = 0;
     threads = Hashtbl.create 32;
@@ -136,6 +147,9 @@ let create ?obs config ~memory ~scheduler =
     spawn_rr = 0;
     next_timer_id = 0;
     n_events = 0;
+    out = Array.make 3 0.;
+    out_completed = false;
+    out_result = 0;
     next_sync_id = 0;
     running = false;
     completed = false;
@@ -146,7 +160,7 @@ let create ?obs config ~memory ~scheduler =
   in
   (* Events carry the engine's virtual clock, so a sink attached anywhere in
      the stack timestamps in simulated nanoseconds. *)
-  Numa_obs.Hub.set_clock obs (fun () -> t.vnow);
+  Numa_obs.Hub.set_clock obs (fun () -> t.vnow.(0));
   t
 
 let obs t = t.obs
@@ -154,7 +168,7 @@ let set_turn_hook t hook = t.turn_hook <- Some hook
 
 let set_profile t p =
   t.profile <- Some p;
-  Numa_obs.Profile.set_clock p (fun () -> t.vnow)
+  Numa_obs.Profile.set_clock p (fun () -> t.vnow.(0))
 
 let profile t = t.profile
 
@@ -235,7 +249,7 @@ let spawn t ?cpu ?stack_vpage ~name body =
       cpu;
       stack_vpage;
       kont = None;
-      pending = None;
+      pending = P_none;
       finished = false;
       ready_at = 0.;
       deadlines = [];
@@ -252,77 +266,88 @@ let spawn t ?cpu ?stack_vpage ~name body =
       t.live <- t.live - 1
   | Blocked (op, k) ->
       th.kont <- Some k;
-      th.pending <- Some (begin_pending op);
+      th.pending <- begin_pending op;
       schedule t th 0.);
   tid
 
-(* Outcome of processing one chunk at time [start] on [cpu]:
-   [user]/[system] durations consumed on that CPU, whether the whole op is
-   now complete (with its result value), and — for operations that park the
+(* The [ready] of a chunk that leaves its thread on the CPU, whose next
+   ready time then follows the CPU clock. Virtual times are never
+   negative. *)
+let on_cpu = -1.
+
+let out_user = 0
+let out_system = 1
+let out_ready = 2
+
+(* Record one chunk's outcome in the engine's scratch: the user and
+   system durations it consumed on the CPU, whether the whole op is now
+   complete (with its result value), and — for operations that park the
    thread elsewhere (system calls) or that poll — an explicit next-ready
-   time instead of cpu-clock progression. *)
-type chunk_outcome = {
-  d_user : float;
-  d_system : float;
-  completed : bool;
-  result : int;
-  ready_override : float option;
-}
+   time instead of cpu-clock progression. Inlined, so the floats go
+   straight into the array unboxed. *)
+let[@inline] outcome t ~d_user ~d_system ~completed ~result ~ready =
+  t.out.(out_user) <- d_user;
+  t.out.(out_system) <- d_system;
+  t.out.(out_ready) <- ready;
+  t.out_completed <- completed;
+  t.out_result <- result
 
-let chunk ~d_user ~d_system ?(completed = false) ?(result = 0) ?ready_override () =
-  { d_user; d_system; completed; result; ready_override }
-
+(* One access by [th]; its costs land in [t.memory.costs], which the next
+   access overwrites. *)
 let access t th ~cpu ~vpage ~access:a ~count ~value =
   t.memory.Memory_iface.access ~cpu ~tid:th.tid ~vpage ~access:a ~count ~value
 
 let process_chunk t th ~cpu ~start pending =
+  let costs = t.memory.Memory_iface.costs in
   match pending with
+  | P_none -> assert false
   | P_refs r ->
       let n = imin r.remaining t.config.chunk_refs in
-      let res = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
+      let v = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
       r.remaining <- r.remaining - n;
-      chunk ~d_user:res.Memory_iface.user_ns ~d_system:res.Memory_iface.system_ns
-        ~completed:(r.remaining = 0) ~result:res.Memory_iface.value ()
+      outcome t ~d_user:costs.user_ns ~d_system:costs.system_ns
+        ~completed:(r.remaining = 0) ~result:v ~ready:on_cpu
   | P_span r ->
       (* [completed] means the current page batch is done; [go] moves on
          to the next batch, or resumes the thread after the last one. *)
       let n = imin r.remaining t.config.chunk_refs in
-      let res = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
+      let v = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
       r.remaining <- r.remaining - n;
-      chunk ~d_user:res.Memory_iface.user_ns ~d_system:res.Memory_iface.system_ns
-        ~completed:(r.remaining = 0) ~result:res.Memory_iface.value ()
+      outcome t ~d_user:costs.user_ns ~d_system:costs.system_ns
+        ~completed:(r.remaining = 0) ~result:v ~ready:on_cpu
   | P_compute c ->
       let slice = Float.min c.remaining_ns t.config.compute_slice_ns in
       c.remaining_ns <- c.remaining_ns -. slice;
       (match t.profile with
       | Some p -> Numa_obs.Profile.charge_compute p ~cpu ~tid:th.tid slice
       | None -> ());
-      chunk ~d_user:slice ~d_system:0. ~completed:(c.remaining_ns <= 0.) ()
+      outcome t ~d_user:slice ~d_system:0. ~completed:(c.remaining_ns <= 0.) ~result:0
+        ~ready:on_cpu
   | P_lock l -> (
       match l.Sync.holder with
       | None ->
           (* Successful test-and-set: a fetch and a store on the lock page. *)
-          let rd = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0 in
-          let wr = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:1 in
+          ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0);
+          let rd_user = costs.user_ns and rd_system = costs.system_ns in
+          ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:1);
           Sync.acquire ~obs:t.obs ?profile:t.profile l ~tid:th.tid ~cpu;
-          chunk
-            ~d_user:(rd.Memory_iface.user_ns +. wr.Memory_iface.user_ns)
-            ~d_system:(rd.Memory_iface.system_ns +. wr.Memory_iface.system_ns)
-            ~completed:true ()
+          outcome t ~d_user:(rd_user +. costs.user_ns) ~d_system:(rd_system +. costs.system_ns)
+            ~completed:true ~result:0 ~ready:on_cpu
       | Some _ ->
           (* Busy: burn one poll interval in user state and try again. *)
-          let rd = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0 in
+          ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0);
+          let rd_user = costs.user_ns and rd_system = costs.system_ns in
           Sync.contend ~obs:t.obs l ~tid:th.tid ~cpu;
-          let d_user = fmax rd.Memory_iface.user_ns t.config.spin_poll_ns in
+          let d_user = fmax rd_user t.config.spin_poll_ns in
           (match t.profile with
           | Some p ->
               (* The poll reference itself was charged as a ref by the
                  memory layer; only the poll padding is spin. *)
               Numa_obs.Profile.charge_lock_spin p ~cpu ~tid:th.tid
                 ~lock_id:l.Sync.lock_id
-                (d_user -. rd.Memory_iface.user_ns)
+                (d_user -. rd_user)
           | None -> ());
-          chunk ~d_user ~d_system:rd.Memory_iface.system_ns ())
+          outcome t ~d_user ~d_system:rd_system ~completed:false ~result:0 ~ready:on_cpu)
   | P_unlock l ->
       (match l.Sync.holder with
       | Some tid when tid = th.tid -> ()
@@ -335,19 +360,20 @@ let process_chunk t th ~cpu ~start pending =
          handling, bus traffic, its Refs event) is thereby accounted inside
          the hold interval, and no other thread can observe the lock free
          before the memory traffic that freed it exists. *)
-      let wr = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:0 in
+      ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:0);
+      let wr_user = costs.user_ns and wr_system = costs.system_ns in
       Sync.release ~obs:t.obs ?profile:t.profile l ~tid:th.tid ~cpu;
-      chunk ~d_user:wr.Memory_iface.user_ns ~d_system:wr.Memory_iface.system_ns
-        ~completed:true ()
+      outcome t ~d_user:wr_user ~d_system:wr_system ~completed:true ~result:0 ~ready:on_cpu
   | P_barrier pb ->
       let b = pb.b in
       if not pb.arrived then begin
         (* Arrival: read-modify-write of the counter. *)
-        let rd = access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0 in
-        let wr =
-          access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Store ~count:1
-            ~value:(b.Sync.arrived + 1)
-        in
+        ignore
+          (access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0);
+        let rd_user = costs.user_ns and rd_system = costs.system_ns in
+        ignore
+          (access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Store ~count:1
+             ~value:(b.Sync.arrived + 1));
         pb.arrived <- true;
         pb.gen <- b.Sync.generation;
         b.Sync.arrived <- b.Sync.arrived + 1;
@@ -356,25 +382,26 @@ let process_chunk t th ~cpu ~start pending =
           b.Sync.generation <- b.Sync.generation + 1;
           b.Sync.arrived <- 0
         end;
-        chunk
-          ~d_user:(rd.Memory_iface.user_ns +. wr.Memory_iface.user_ns)
-          ~d_system:(rd.Memory_iface.system_ns +. wr.Memory_iface.system_ns)
-          ~completed:released ()
+        outcome t ~d_user:(rd_user +. costs.user_ns) ~d_system:(rd_system +. costs.system_ns)
+          ~completed:released ~result:0 ~ready:on_cpu
       end
-      else if b.Sync.generation > pb.gen then
+      else if b.Sync.generation > pb.gen then begin
         (* Release observed on this poll. *)
-        let rd = access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0 in
-        chunk ~d_user:rd.Memory_iface.user_ns ~d_system:rd.Memory_iface.system_ns
-          ~completed:true ()
+        ignore
+          (access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0);
+        outcome t ~d_user:costs.user_ns ~d_system:costs.system_ns ~completed:true ~result:0
+          ~ready:on_cpu
+      end
       else begin
-        let rd = access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0 in
-        let d_user = fmax rd.Memory_iface.user_ns t.config.spin_poll_ns in
+        ignore
+          (access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0);
+        let rd_user = costs.user_ns and rd_system = costs.system_ns in
+        let d_user = fmax rd_user t.config.spin_poll_ns in
         (match t.profile with
         | Some p ->
-            Numa_obs.Profile.charge_barrier_spin p ~cpu ~tid:th.tid
-              (d_user -. rd.Memory_iface.user_ns)
+            Numa_obs.Profile.charge_barrier_spin p ~cpu ~tid:th.tid (d_user -. rd_user)
         | None -> ());
-        chunk ~d_user ~d_system:rd.Memory_iface.system_ns ()
+        outcome t ~d_user ~d_system:rd_system ~completed:false ~result:0 ~ready:on_cpu
       end
   | P_migrate { target } ->
       if target < 0 || target >= t.config.n_cpus then
@@ -396,7 +423,7 @@ let process_chunk t th ~cpu ~start pending =
       | None -> ());
       t.system.(target) <- t.system.(target) +. 50_000.;
       t.clock.(target) <- resume;
-      chunk ~d_user:0. ~d_system:0. ~completed:true ~ready_override:resume ()
+      outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0 ~ready:resume
   | P_syscall { service_ns; touch_stack } ->
       let master = if t.config.unix_master then 0 else cpu in
       let start_service = fmax start t.clock.(master) in
@@ -407,10 +434,10 @@ let process_chunk t th ~cpu ~start pending =
           | Some vpage ->
               (* The kernel reads arguments from and writes results to the
                  caller's stack while running on the (master) CPU. *)
-              let rd = access t th ~cpu:master ~vpage ~access:Access.Load ~count:4 ~value:0 in
-              let wr = access t th ~cpu:master ~vpage ~access:Access.Store ~count:4 ~value:0 in
-              rd.Memory_iface.user_ns +. wr.Memory_iface.user_ns
-              +. rd.Memory_iface.system_ns +. wr.Memory_iface.system_ns
+              ignore (access t th ~cpu:master ~vpage ~access:Access.Load ~count:4 ~value:0);
+              let rd_user = costs.user_ns and rd_system = costs.system_ns in
+              ignore (access t th ~cpu:master ~vpage ~access:Access.Store ~count:4 ~value:0);
+              rd_user +. costs.user_ns +. rd_system +. costs.system_ns
         else 0.
       in
       let finish = start_service +. service_ns +. stack_ns in
@@ -430,15 +457,15 @@ let process_chunk t th ~cpu ~start pending =
       t.clock.(master) <- fmax t.clock.(master) finish;
       (* The calling thread was blocked, not computing: its own CPU accrues
          neither user nor system time; it resumes when the call returns. *)
-      chunk ~d_user:0. ~d_system:0. ~completed:true ~ready_override:finish ()
+      outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0 ~ready:finish
   | P_sleep { until_ns } ->
       (* An open-loop timer: park until the virtual deadline without
          touching any CPU clock. A deadline already past resumes at [start]
          (the sleeper was behind, e.g. a serving thread draining a queue
          backlog). The gap, if any, is charged as idle when the thread's
          next chunk finds its event time ahead of the CPU clock. *)
-      chunk ~d_user:0. ~d_system:0. ~completed:true
-        ~ready_override:(fmax start until_ns) ()
+      outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0
+        ~ready:(fmax start until_ns)
   | P_deadline_push { until_ns } ->
       (* Arm a cancellable timer. Free of simulated time: the deadline
          machinery models a kernel timer wheel whose cost is negligible
@@ -448,7 +475,7 @@ let process_chunk t th ~cpu ~start pending =
       t.next_timer_id <- id + 1;
       th.deadlines <- (id, until_ns) :: th.deadlines;
       if until_ns < th.deadline then th.deadline <- until_ns;
-      chunk ~d_user:0. ~d_system:0. ~completed:true ~result:id ()
+      outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:id ~ready:on_cpu
   | P_deadline_pop ->
       (match th.deadlines with
       | [] ->
@@ -458,7 +485,7 @@ let process_chunk t th ~cpu ~start pending =
       | _ :: rest ->
           th.deadlines <- rest;
           th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest);
-      chunk ~d_user:0. ~d_system:0. ~completed:true ()
+      outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0 ~ready:on_cpu
 
 let pick_cpu t th =
   match t.scheduler with
@@ -482,8 +509,12 @@ let count_event t =
 let finish_thread t th =
   th.finished <- true;
   th.kont <- None;
-  th.pending <- None;
+  th.pending <- P_none;
   t.live <- t.live - 1
+
+(* Whether no queued event is due before [at]: [Event_queue.min_time q >=
+   at], read in place so no float is boxed. *)
+let[@inline] nothing_due_before (q : Event_queue.t) at = q.size = 0 || q.time.(0) >= at
 
 (* A parked thread (sleep, syscall return) must still observe its
    tightest deadline: wake at the deadline instant instead of sleeping
@@ -496,27 +527,30 @@ let park t th start after =
    turn allocates no closures. *)
 let rec go t th cpu start =
   match th.pending with
-  | None -> ()
-  | Some _ when start >= th.deadline -> fire t th cpu start
-  | Some pending ->
-      let o = process_chunk t th ~cpu ~start pending in
-      t.user.(cpu) <- t.user.(cpu) +. o.d_user;
-      t.system.(cpu) <- t.system.(cpu) +. o.d_system;
+  | P_none -> ()
+  | _ when start >= th.deadline -> fire t th cpu start
+  | pending ->
+      process_chunk t th ~cpu ~start pending;
+      let d_user = t.out.(out_user) and d_system = t.out.(out_system) in
+      let ready = t.out.(out_ready) in
+      let parked = ready >= 0. in
+      t.user.(cpu) <- t.user.(cpu) +. d_user;
+      t.system.(cpu) <- t.system.(cpu) +. d_system;
       let after =
-        match o.ready_override with
-        | Some v -> v
-        | None ->
-            (match t.profile with
-            | Some p when start > t.clock.(cpu) ->
-                (* The thread's event time was ahead of its CPU's clock:
-                   the CPU sat idle for the difference. *)
-                Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
-            | Some _ | None -> ());
-            t.clock.(cpu) <- start +. o.d_user +. o.d_system;
-            t.clock.(cpu)
+        if parked then ready
+        else begin
+          (match t.profile with
+          | Some p when start > t.clock.(cpu) ->
+              (* The thread's event time was ahead of its CPU's clock:
+                 the CPU sat idle for the difference. *)
+              Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
+          | Some _ | None -> ());
+          t.clock.(cpu) <- start +. d_user +. d_system;
+          t.clock.(cpu)
+        end
       in
-      t.vnow <- fmax t.vnow after;
-      if not o.completed then schedule t th after
+      t.vnow.(0) <- fmax t.vnow.(0) after;
+      if not t.out_completed then schedule t th after
       else
         match pending with
         | P_span r when r.left > 0 ->
@@ -532,23 +566,22 @@ let rec go t th cpu start =
             r.left <- r.left - count;
             boundary t th cpu start after
         | _ -> (
-            th.pending <- None;
+            th.pending <- P_none;
             match th.kont with
             | None -> assert false
             | Some k -> (
                 th.kont <- None;
-                match Effect.Deep.continue k o.result with
+                match Effect.Deep.continue k t.out_result with
                 | Finished -> finish_thread t th
-                | Blocked (op, k') -> (
+                | Blocked (op, k') ->
                     th.kont <- Some k';
-                    th.pending <- Some (begin_pending op);
-                    match o.ready_override with
-                    | None -> boundary t th cpu start after
-                    | Some _ -> park t th start after)))
+                    th.pending <- begin_pending op;
+                    if parked then park t th start after
+                    else boundary t th cpu start after))
 (* An operation boundary: keep running inline while no other event is
    due first (avoids heap churn for single-threaded phases). *)
 and boundary t th cpu start after =
-  if Event_queue.min_time t.events >= after then begin
+  if nothing_due_before t.events after then begin
     count_event t;
     go t th cpu after
   end
@@ -567,7 +600,7 @@ and fire t th cpu start =
   let id, rest = split th.deadlines in
   th.deadlines <- rest;
   th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest;
-  th.pending <- None;
+  th.pending <- P_none;
   match th.kont with
   | None -> assert false
   | Some k -> (
@@ -580,8 +613,8 @@ and fire t th cpu start =
       | Finished -> finish_thread t th
       | Blocked (op, k') ->
           th.kont <- Some k';
-          th.pending <- Some (begin_pending op);
-          if Event_queue.min_time t.events >= start then begin
+          th.pending <- begin_pending op;
+          if nothing_due_before t.events start then begin
             count_event t;
             go t th cpu start
           end
@@ -596,8 +629,8 @@ let turn t th =
   (* The virtual clock is monotone: a turn that starts on a CPU whose
      local clock lags another CPU's must not drag [vnow] (and with it
      every observability timestamp) backwards. *)
-  t.vnow <- fmax t.vnow start;
-  (match t.turn_hook with None -> () | Some hook -> hook ~now:t.vnow);
+  t.vnow.(0) <- fmax t.vnow.(0) start;
+  (match t.turn_hook with None -> () | Some hook -> hook ~now:t.vnow.(0));
   if Numa_obs.Hub.enabled t.obs then
     Numa_obs.Hub.emit t.obs
       (Numa_obs.Event.Dispatch { tid = th.tid; cpu; name = th.name });
@@ -631,7 +664,7 @@ let run t =
   t.running <- false;
   t.completed <- true
 
-let now t = t.vnow
+let now t = t.vnow.(0)
 let clock_ns t ~cpu = t.clock.(cpu)
 let run_wall_s t = t.run_wall_s
 

@@ -47,7 +47,15 @@ val create : ?obs:Numa_obs.Hub.t -> config -> memory:Memory_iface.t -> scheduler
 (** [obs] (default: a fresh, sink-less hub) receives scheduler dispatch,
     lock and system-call events. The engine points the hub's clock at its
     own virtual-time counter, so all events — including those emitted by
-    lower layers sharing the hub — are stamped in simulated nanoseconds. *)
+    lower layers sharing the hub — are stamped in simulated nanoseconds.
+
+    Every reference goes through [memory.access], which returns the value
+    and leaves the access's cost in [memory.costs]; the engine reads that
+    record right after each access, so a chunk that makes two (a lock's
+    test-and-set, a barrier arrival, a stack-touching system call)
+    charges both. A chunk's outcome (its user and system time, whether
+    its op completed, the op's result, the thread's next ready time)
+    lives in per-engine scratch, not in a record per chunk. *)
 
 val obs : t -> Numa_obs.Hub.t
 

@@ -3,12 +3,21 @@
 
     Monomorphic on purpose — this is the simulator's hottest structure:
     the comparison is inlined (no closure call per sift step), keys live
-    in unboxed float/int arrays rather than tuples, and the empty checks
-    ({!min_time}, {!pop_min}) allocate nothing. Ties on time pop in
-    insertion (sequence) order, which the engine relies on for
-    deterministic scheduling. *)
+    in unboxed float/int arrays rather than tuples, and {!pop_min}
+    allocates nothing. Ties on time pop in insertion (sequence) order,
+    which the engine relies on for deterministic scheduling.
 
-type t
+    The record is exposed read-only so the engine can test the head
+    without a call: [size = 0 || time.(0) >= at] is [min_time t >= at]
+    without the float {!min_time} boxes to return it across modules.
+    Slots at and beyond [size] are stale. *)
+
+type t = private {
+  mutable time : float array;  (** heap-ordered keys; the minimum at 0 *)
+  mutable seq : int array;
+  mutable tid : int array;
+  mutable size : int;
+}
 
 val create : unit -> t
 val length : t -> int

@@ -5,12 +5,18 @@
     machine/VM/NUMA stack (wired up by [Numa_system]).
 
     [access] performs [count] back-to-back references by one CPU to one
-    page, resolving faults as needed, and reports the virtual time consumed:
-    [user_ns] for the references themselves and [system_ns] for any kernel
-    work (faults, page copies) they triggered. For reads, [value] is the
-    content observed; for writes it echoes the stored value. *)
+    page, resolving faults as needed, and returns the value: for reads,
+    the content observed; for writes, the stored value echoed.
 
-type result = { user_ns : float; system_ns : float; value : int }
+    The virtual time the call consumed is not returned but written into
+    [costs], a scratch record the memory owns: [user_ns] for the
+    references themselves and [system_ns] for any kernel work (faults,
+    page copies) they triggered. Every call overwrites both fields, so a
+    caller that makes several accesses must read [costs] after each one.
+    The record is all floats, hence flat: handing the costs back this
+    way allocates nothing. *)
+
+type costs = { mutable user_ns : float; mutable system_ns : float }
 
 type t = {
   access :
@@ -20,8 +26,12 @@ type t = {
     access:Numa_machine.Access.t ->
     count:int ->
     value:int ->
-    result;
+    int;
+  costs : costs;  (** written by every [access] call *)
 }
+
+val costs : unit -> costs
+(** A fresh scratch record, both fields zero, for a memory to own. *)
 
 val flat : Numa_machine.Config.t -> t
 (** A uniform-memory-access reference implementation: every reference at

@@ -109,6 +109,7 @@ type t = {
   n_nodes : int;
   obs : Numa_obs.Hub.t;
   pmap_mgr : Numa_core.Pmap_manager.t;
+  sink : Cost_sink.t;  (** the pmap manager's, where kernel work is charged *)
   mmu : Mmu.t;
   frames : Frame_table.t;
   ref_ns : float array;
@@ -121,6 +122,10 @@ type t = {
   fault_ctx : Numa_vm.Fault.ctx;
   pageout : Numa_vm.Pageout.t;
   bus : Bus.t;
+  bus_enabled : bool;  (** cached [Bus.enabled bus]; fixed at create *)
+  costs : Memory_iface.costs;
+      (** the engine's view of the last access's cost, written by every
+          {!do_access} *)
   engine : Engine.t;
   regions_by_vpage : (int * int, region) Hashtbl.t;  (** (task id, vpage) *)
   mutable tasks : Numa_vm.Task.t list;  (** additional tasks beyond the default *)
@@ -378,6 +383,47 @@ let apply_fault t (fired : Numa_faults.Injector.fired) =
              detail = Printf.sprintf "lpage %d, %d mappings" lpage dropped;
            })
 
+type access_error =
+  | Unmapped
+  | Fault_failed of Numa_vm.Fault.error
+  | Fault_loop
+
+exception Access_failed of { tid : int; task : int; vpage : int; error : access_error }
+
+let access_error_to_string = function
+  | Unmapped -> "access to unmapped virtual page"
+  | Fault_failed e -> "page fault failed: " ^ Numa_vm.Fault.error_to_string e
+  | Fault_loop -> "fault loop did not converge"
+
+let () =
+  Printexc.register_printer (function
+    | Access_failed { tid; task; vpage; error } ->
+        Some
+          (Printf.sprintf "System.Access_failed: %s (vpage %d, task %d, tid %d)"
+             (access_error_to_string error) vpage task tid)
+    | _ -> None)
+
+(* The slow half of an access: the translation at [attempts] missed or
+   lacked the access right. Fault, then translate again — exactly once
+   per attempt, since each translation moves the TLB hit/miss counters —
+   giving up after four faults that leave no usable mapping. *)
+let rec resolve_miss t task ~tid ~cpu ~vpage ~kind ~attempts =
+  let fail error =
+    raise (Access_failed { tid; task = task.Numa_vm.Task.id; vpage; error })
+  in
+  match Numa_vm.Fault.handle t.fault_ctx task ~cpu ~vpage ~access:kind with
+  | Error e ->
+      (match e with
+      | Numa_vm.Fault.Out_of_memory -> t.oom_faults <- t.oom_faults + 1
+      | Numa_vm.Fault.No_region | Numa_vm.Fault.Protection_violation -> ());
+      fail (Fault_failed e)
+  | Ok () -> (
+      let attempts = attempts + 1 in
+      if attempts > 3 then fail Fault_loop;
+      match Mmu.translate t.mmu ~pmap:task.Numa_vm.Task.pmap ~cpu ~vpage with
+      | Some e when Prot.allows e.Mmu.prot kind -> e
+      | Some _ | None -> resolve_miss t task ~tid ~cpu ~vpage ~kind ~attempts)
+
 let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
   (* Reconsideration daemon: a cheap periodic tick piggybacked on the
      access stream (the real system would use a kernel timer). *)
@@ -418,41 +464,23 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
   let region =
     match if vpage < Array.length vpages then vpages.(vpage) else None with
     | Some r -> r
-    | None ->
-        failwith
-          (Printf.sprintf "access to unmapped virtual page %d in task %d" vpage task_id)
+    | None -> raise (Access_failed { tid; task = task_id; vpage; error = Unmapped })
   in
-  let pmap = thread_task.Numa_vm.Task.pmap in
-  (* Stable references resolve through the CPU's software TLB in O(1);
-     only faults (and the retry after resolving one) walk the MMU hash
-     table and the fault path below it. *)
-  let rec ensure attempts =
-    if attempts > 3 then failwith "fault loop did not converge";
-    match Mmu.translate t.mmu ~pmap ~cpu ~vpage with
+  (* A stable reference is a hit in the CPU's software TLB: one probe and
+     the protection test. Only a miss, or a mapping too weak for the
+     access, takes the fault path. *)
+  let entry =
+    match Mmu.translate t.mmu ~pmap:thread_task.Numa_vm.Task.pmap ~cpu ~vpage with
     | Some e when Prot.allows e.Mmu.prot kind -> e
-    | Some _ | None -> (
-        match Numa_vm.Fault.handle t.fault_ctx thread_task ~cpu ~vpage ~access:kind with
-        | Ok () -> ensure (attempts + 1)
-        | Error e ->
-            (match e with
-            | Numa_vm.Fault.Out_of_memory -> t.oom_faults <- t.oom_faults + 1
-            | Numa_vm.Fault.No_region | Numa_vm.Fault.Protection_violation -> ());
-            failwith
-              (Printf.sprintf "page fault failed at vpage %d: %s" vpage
-                 (Numa_vm.Fault.error_to_string e)))
+    | Some _ | None -> resolve_miss t thread_task ~tid ~cpu ~vpage ~kind ~attempts:0
   in
-  let entry = ensure 0 in
   (* [where] keeps the paper's three reporting buckets; [node] is the
      physical node that serves the reference and prices it. On the
-     classic ACE the two views coincide exactly. *)
-  let where = Mmu.phys_location ~cpu entry.Mmu.phys in
-  let node =
-    match entry.Mmu.phys with
-    | Mmu.Frame f -> f.Frame_table.node
-    | Mmu.Global_frame lpage -> Topo.global_home t.topo ~lpage
-  in
+     classic ACE the two views coincide exactly. Both were fixed when the
+     mapping was entered. *)
+  let where = entry.Mmu.where and node = entry.Mmu.node in
   let bus_delay =
-    if node = cpu then 0.
+    if node = cpu || not t.bus_enabled then 0.
     else
       (* Traffic to another node's memory crosses the interconnect. *)
       Bus.delay_ns ~cpu ~src:cpu ~dst:node t.bus ~now:(Engine.now t.engine) ~words:count
@@ -471,7 +499,8 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
     (((cpu * t.n_nodes) + node) * 2)
     + match kind with Access.Load -> 0 | Access.Store -> 1
   in
-  let user_ns = (float_of_int count *. t.ref_ns.(cost_idx)) +. bus_delay in
+  let ref_ns = float_of_int count *. t.ref_ns.(cost_idx) in
+  let user_ns = ref_ns +. bus_delay in
   (match t.profile with
   | Some p ->
       let loc =
@@ -481,12 +510,13 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
         | Location.Remote_local -> Numa_obs.Event.Remote
       in
       let lpage = entry.Mmu.lpage in
-      Numa_obs.Profile.charge_ref p ~cpu ~dst:node ~loc ~lpage ~tid
-        (float_of_int count *. t.ref_ns.(cost_idx));
+      Numa_obs.Profile.charge_ref p ~cpu ~dst:node ~loc ~lpage ~tid ref_ns;
       if bus_delay > 0. then Numa_obs.Profile.charge_bus p ~cpu ~dst:node ~lpage bus_delay
   | None -> ());
+  (* Kernel work is pending only after a fault or a protocol action aimed
+     at this CPU; a hit finds the sink idle and skips the drain. *)
   let system_ns =
-    Cost_sink.drain (Numa_core.Pmap_manager.sink t.pmap_mgr) ~cpu
+    if Cost_sink.idle t.sink ~cpu then 0. else Cost_sink.drain t.sink ~cpu
   in
   let value =
     match kind with
@@ -520,7 +550,9 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
           where;
           region = region.attr.Region_attr.name;
         });
-  { Memory_iface.user_ns; system_ns; value }
+  t.costs.Memory_iface.user_ns <- user_ns;
+  t.costs.Memory_iface.system_ns <- system_ns;
+  value
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -603,6 +635,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
     }
   in
   let tref = ref None in
+  let costs = Memory_iface.costs () in
   let memory =
     {
       Memory_iface.access =
@@ -610,6 +643,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
           match !tref with
           | Some t -> do_access t ~cpu ~tid ~vpage ~access ~count ~value
           | None -> assert false);
+      costs;
     }
   in
   let engine_config =
@@ -645,6 +679,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
       n_nodes;
       obs;
       pmap_mgr;
+      sink = Numa_core.Pmap_manager.sink pmap_mgr;
       mmu = Numa_core.Pmap_manager.mmu pmap_mgr;
       frames = Numa_core.Pmap_manager.frames pmap_mgr;
       ref_ns =
@@ -662,6 +697,8 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
       fault_ctx;
       pageout;
       bus;
+      bus_enabled = Bus.enabled bus;
+      costs;
       engine;
       regions_by_vpage = Hashtbl.create 256;
       tasks = [];

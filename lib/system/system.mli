@@ -96,6 +96,26 @@ type fault_notice =
 (** Application-visible fault notifications (see {!set_fault_notify}) —
     the hook the serve app's shard failover and circuit breakers ride. *)
 
+type access_error =
+  | Unmapped
+      (** no region of the thread's task covers the virtual page: the
+          workload touched memory it never allocated *)
+  | Fault_failed of Numa_vm.Fault.error
+      (** the fault handler refused the reference: a store to a
+          read-only region ([Protection_violation]), a page outside the
+          VM map ([No_region]) or no frame even after reclaim
+          ([Out_of_memory], also counted in the report's [oom_faults]) *)
+  | Fault_loop
+      (** four faults in a row each succeeded yet left no mapping that
+          allows the access — a protocol bug, never a workload error *)
+
+exception Access_failed of { tid : int; task : int; vpage : int; error : access_error }
+(** The one way a simulated memory reference fails. Raised out of
+    {!run} by the thread's access, carrying the thread, its task's id,
+    the virtual page and the cause. A printer is registered, so an
+    uncaught one reads as
+    [System.Access_failed: <cause> (vpage V, task T, tid N)]. *)
+
 type t
 
 val create :

@@ -133,7 +133,20 @@ let test_code_region_rejects_writes () =
   Alcotest.(check bool) "write to code faults fatally" true
     (match System.run sys with
     | _ -> false
-    | exception Failure _ -> true)
+    | exception
+        System.Access_failed
+          { error = System.Fault_failed Numa_vm.Fault.Protection_violation; _ } ->
+        true)
+
+let test_unallocated_vpage_raises_typed () =
+  let sys = System.create ~config:(small_config ()) () in
+  let stray = 1_000_000 in
+  let tid = System.spawn sys ~name:"t" (fun ~stack_vpage:_ -> Api.read stray) in
+  match System.run sys with
+  | _ -> Alcotest.fail "a read of an unallocated page completed"
+  | exception System.Access_failed { error = System.Unmapped; vpage; tid = by; task = _ } ->
+      Alcotest.(check int) "names the page" stray vpage;
+      Alcotest.(check int) "names the thread" tid by
 
 let test_report_placement_totals () =
   let config = small_config () in
@@ -161,5 +174,7 @@ let suite =
     Alcotest.test_case "runner G/L flags" `Quick test_runner_gl_flags;
     Alcotest.test_case "trace totals match report" `Quick test_trace_totals_match_report;
     Alcotest.test_case "code region rejects writes" `Quick test_code_region_rejects_writes;
+    Alcotest.test_case "unallocated page raises Access_failed" `Quick
+      test_unallocated_vpage_raises_typed;
     Alcotest.test_case "report placement totals" `Quick test_report_placement_totals;
   ]

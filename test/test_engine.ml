@@ -184,6 +184,40 @@ let test_syscall_unix_master_serialises () =
   Alcotest.(check bool) "master clock reflects the queue" true
     (Engine.elapsed_ns e >= 9e6)
 
+(* Chunks that make two accesses (test-and-set, barrier arrival, a
+   syscall's stack touch) must charge both. The memory hands each
+   access's cost back in one scratch record that the next access
+   overwrites, so a chunk that read it only once would charge the store
+   twice; flat memory prices a fetch (650 ns) and a store (840 ns)
+   differently, which makes that visible in the exact totals. *)
+let test_two_access_chunks_charge_both () =
+  let e = make () in
+  let lock = Engine.make_lock e ~vpage:3 in
+  let barrier = Engine.make_barrier e ~vpage:5 ~parties:1 in
+  ignore
+    (Engine.spawn e ~cpu:0 ~name:"locker" (fun () ->
+         Api.lock lock;
+         Api.unlock lock));
+  ignore (Engine.spawn e ~cpu:1 ~name:"arriver" (fun () -> Api.barrier barrier));
+  ignore
+    (Engine.spawn e ~cpu:2 ~stack_vpage:9 ~name:"caller" (fun () ->
+         Api.syscall ~touch_stack:true ~service_ns:1e6 ()));
+  Engine.run e;
+  let fetch = 650. and store = 840. in
+  Alcotest.(check (float 1e-6)) "acquire (fetch + store) + release (store)"
+    (fetch +. store +. store) (Engine.user_ns e ~cpu:0);
+  Alcotest.(check (float 1e-6)) "lock chunks charge no system time" 0.
+    (Engine.system_ns e ~cpu:0);
+  Alcotest.(check (float 1e-6)) "barrier arrival (fetch + store)" (fetch +. store)
+    (Engine.user_ns e ~cpu:1);
+  Alcotest.(check (float 1e-6)) "barrier charges no system time" 0.
+    (Engine.system_ns e ~cpu:1);
+  Alcotest.(check (float 1e-6)) "syscall: service + 4 stack fetches + 4 stack stores"
+    (1e6 +. (4. *. fetch) +. (4. *. store))
+    (Engine.system_ns e ~cpu:2);
+  Alcotest.(check (float 1e-6)) "the caller accrues no user time" 0.
+    (Engine.user_ns e ~cpu:2)
+
 let test_single_queue_migrates () =
   let e = make ~scheduler:Engine.Single_queue () in
   (* More threads than CPUs; under a single queue they spread onto idle
@@ -425,6 +459,8 @@ let suite =
     Alcotest.test_case "spin burns user time" `Quick test_spin_wait_burns_user_time;
     Alcotest.test_case "syscall plain" `Quick test_syscall_plain;
     Alcotest.test_case "syscall unix master" `Quick test_syscall_unix_master_serialises;
+    Alcotest.test_case "two-access chunks charge both" `Quick
+      test_two_access_chunks_charge_both;
     Alcotest.test_case "single queue migrates" `Quick test_single_queue_migrates;
     Alcotest.test_case "stuck barrier detected" `Quick test_deadlock_detection;
     Alcotest.test_case "migrate rebinds thread" `Quick test_migrate_rebinds_thread;

@@ -2,7 +2,8 @@
    a tuple-keyed model of the same tables, [Mmu]'s forward and reverse
    maps against each other, the flat [Cost_sink] queue against a
    newest-first fold into the profiler, and allocation gates on the
-   profiled charge and on a whole fault-heavy run. *)
+   profiled charge, on a whole fault-heavy run and on a run of TLB
+   hits. *)
 
 open Numa_machine
 module Profile = Numa_obs.Profile
@@ -827,6 +828,39 @@ let test_fault_path_allocation_gate () =
   if per_event > 75. then
     Alcotest.failf "primes3 fault path allocated %.1f words per event (gate: 75)" per_event
 
+(* The hit path: one thread re-reads eight pages it has already made
+   resident, so after the first pass every page batch is a software-TLB
+   hit with no kernel work pending. Each span costs one effect round
+   trip; the rest is the engine's per-batch hand-off and
+   [System.do_access]'s hit step. Measured on this run: 31.7 words per
+   event when each access returned a boxed cost record, each chunk built
+   an outcome record and the hit step resolved node and location from
+   the frame; 6.4 with the costs in the memory's scratch record, the
+   outcome in the engine's, and node and location read off the MMU
+   entry. Most of what is left is the span's own round trip. *)
+let test_hit_path_allocation_gate () =
+  let config = Config.ace ~n_cpus:1 ~local_pages_per_cpu:32 ~global_pages:64 () in
+  let sys = System.create ~config () in
+  let pages = 8 and words_per_page = 64 in
+  let data =
+    System.alloc_region sys ~name:"resident" ~kind:Numa_vm.Region_attr.Data
+      ~sharing:Numa_vm.Region_attr.Declared_private ~pages ()
+  in
+  let base_vpage = data.System.base_vpage in
+  let n = pages * words_per_page in
+  ignore
+    (System.spawn sys ~cpu:0 ~name:"reader" (fun ~stack_vpage:_ ->
+         Numa_sim.Api.span Access.Store ~base_vpage ~words_per_page ~lo:0 ~n ~stride:1;
+         for _ = 1 to 1000 do
+           Numa_sim.Api.span Access.Load ~base_vpage ~words_per_page ~lo:0 ~n ~stride:1
+         done));
+  let before = Gc.minor_words () in
+  let report = System.run sys in
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int report.Report.n_events in
+  if per_event > 16. then
+    Alcotest.failf "resident re-reads allocated %.1f words per event (gate: 16)" per_event
+
 let suite =
   [
     qcheck prop_pt_matches_reference;
@@ -835,4 +869,5 @@ let suite =
     Alcotest.test_case "profiled charge allocates nothing" `Quick
       test_cost_sink_charge_allocation;
     Alcotest.test_case "fault path allocation gate" `Quick test_fault_path_allocation_gate;
+    Alcotest.test_case "hit path allocation gate" `Quick test_hit_path_allocation_gate;
   ]
