@@ -31,37 +31,67 @@ let default_config ~n_cpus =
 exception Deadlock of string
 exception Event_budget_exceeded of int
 
-type step = Finished | Blocked of Op.t * (int, step) Effect.Deep.continuation
+type thread_error =
+  | Unlock_not_held of { lock_id : int }
+  | No_such_cpu of { cpu : int }
+  | Deadline_not_pushed
+
+exception Thread_error of { tid : int; name : string; error : thread_error }
+
+let thread_error_to_string = function
+  | Unlock_not_held { lock_id } -> Printf.sprintf "released lock %d it does not hold" lock_id
+  | No_such_cpu { cpu } -> Printf.sprintf "migrated to nonexistent cpu %d" cpu
+  | Deadline_not_pushed -> "popped a deadline it never pushed"
+
+let () =
+  Printexc.register_printer (function
+    | Thread_error { tid; name; error } ->
+        Some
+          (Printf.sprintf "Engine.Thread_error: thread %d (%s) %s" tid name
+             (thread_error_to_string error))
+    | _ -> None)
+
+(* What a thread body's handler returns: the body has returned, or it is
+   suspended at the op the handler stored in [t.op]. A thread keeps its
+   last step as its continuation, so no option is built around it. *)
+type step = Finished | Blocked of (int, step) Effect.Deep.continuation
+
+(* The one [Some] every perform returns from the handler's [effc]. *)
+let block : ((int, step) Effect.Deep.continuation -> step) option = Some (fun k -> Blocked k)
+
+(* A flat float record: writing [ns] stores the float in place. *)
+type ns_cell = { mutable ns : float }
 
 (* The op currently being worked through, chunk by chunk; [P_none]
-   between ops and after the thread finishes. *)
+   between ops and after the thread finishes. The frequent kinds are
+   allocated once per thread and refilled by {!begin_pending}. *)
 type pending =
   | P_none
   | P_refs of {
-      vpage : int;
-      access : Access.t;
+      mutable vpage : int;
+      mutable access : Access.t;
       mutable remaining : int;
-      value : int;
+      mutable value : int;
     }
   | P_span of {
-      access : Access.t;
-      base_vpage : int;
-      words_per_page : int;
-      stride : int;
-      value : int;
+      mutable access : Access.t;
+      mutable base_vpage : int;
+      mutable words_per_page : int;
+      mutable stride : int;
+      mutable value : int;
       mutable vpage : int;  (** the current page batch's page *)
       mutable remaining : int;  (** references left in the current batch *)
       mutable next : int;  (** element index the next batch starts at *)
       mutable left : int;  (** references in the batches after this one *)
     }
-  | P_compute of { mutable remaining_ns : float }
+  | P_compute of ns_cell  (** the computation still to run *)
   | P_lock of Sync.lock
   | P_unlock of Sync.lock
   | P_barrier of { b : Sync.barrier; mutable arrived : bool; mutable gen : int }
   | P_syscall of { service_ns : float; touch_stack : bool }
   | P_migrate of { target : int }
-  | P_sleep of { until_ns : float }
-  | P_deadline_push of { until_ns : float }
+  | P_sleep of ns_cell  (** the wake-up instant *)
+  | P_deadline_push of ns_cell  (** the deadline instant *)
   | P_deadline_pop
 
 type thread = {
@@ -69,16 +99,23 @@ type thread = {
   name : string;
   mutable cpu : int;
   stack_vpage : int option;
-  mutable kont : (int, step) Effect.Deep.continuation option;
+  mutable kont : step;
+      (** [Blocked k] while the body waits on [pending]; [Finished] once
+          it has returned *)
   mutable pending : pending;
   mutable finished : bool;
-  mutable ready_at : float;
   mutable deadlines : (int * float) list;
       (** armed cancellable timers, newest first: (timer id, absolute
           virtual-time deadline) *)
   mutable deadline : float;
       (** cached tightest armed deadline ([infinity] when none) — read at
           every chunk boundary, so it must be O(1) *)
+  p_refs : pending;
+  p_span : pending;
+  p_compute : pending;
+  p_sleep : pending;
+  p_deadline_push : pending;
+      (** the thread's own op state for the frequent kinds *)
 }
 
 type t = {
@@ -92,6 +129,11 @@ type t = {
   vnow : float array;
       (* one cell: the monotone virtual clock, kept in a float array so
          advancing it per event boxes nothing *)
+  chunk_at : float array;
+      (** the current chunk's instants, [at_start] and [at_after]: where
+          it begins and where its thread is next ready. [go], [boundary],
+          [fire], [park], [process_chunk] and [schedule] read them here,
+          since float arguments would be boxed. *)
   events : Event_queue.t;  (* (time, seq) -> tid *)
   mutable seq : int;
   threads : (int, thread) Hashtbl.t;
@@ -110,6 +152,10 @@ type t = {
           [on_cpu]). Scratch, so a chunk allocates no record. *)
   mutable out_completed : bool;  (** the last chunk finished its op *)
   mutable out_result : int;  (** the finished op's result value *)
+  mutable op : Op.t;  (** the op the last [perform] handed over *)
+  handler : (unit, step) Effect.Deep.handler;
+      (** every thread body runs under this one handler, whose [effc]
+          stores the op in [op] and returns the constant {!block} *)
   mutable next_sync_id : int;
   mutable running : bool;
   mutable completed : bool;
@@ -124,11 +170,14 @@ type t = {
           engine keeps, and it stays out of all reports *)
 }
 
+let at_start = 0
+let at_after = 1
+
 let create ?obs config ~memory ~scheduler =
   if config.n_cpus <= 0 then invalid_arg "Engine.create: n_cpus must be positive";
   if config.chunk_refs <= 0 then invalid_arg "Engine.create: chunk_refs must be positive";
   let obs = match obs with Some h -> h | None -> Numa_obs.Hub.create () in
-  let t =
+  let rec t =
   {
     config;
     memory;
@@ -138,6 +187,7 @@ let create ?obs config ~memory ~scheduler =
     user = Array.make config.n_cpus 0.;
     system = Array.make config.n_cpus 0.;
     vnow = [| 0. |];
+    chunk_at = [| 0.; 0. |];
     events = Event_queue.create ();
     seq = 0;
     threads = Hashtbl.create 32;
@@ -150,6 +200,20 @@ let create ?obs config ~memory ~scheduler =
     out = Array.make 3 0.;
     out_completed = false;
     out_result = 0;
+    op = Op.Deadline_pop;
+    handler =
+      {
+        retc = (fun () -> Finished);
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) :
+               ((a, step) Effect.Deep.continuation -> step) option ->
+            match eff with
+            | Api.Sim_op op ->
+                t.op <- op;
+                block
+            | _ -> None);
+      };
     next_sync_id = 0;
     running = false;
     completed = false;
@@ -182,51 +246,63 @@ let make_barrier t ~vpage ~parties =
   t.next_sync_id <- id + 1;
   Sync.make_barrier ~id ~vpage ~parties
 
-let schedule t th time =
-  th.ready_at <- time;
-  Event_queue.add t.events ~time ~seq:t.seq ~tid:th.tid;
+(* Queue [th] at [chunk_at.(at_after)]. *)
+let schedule t th =
+  Event_queue.add t.events ~time:t.chunk_at.(at_after) ~seq:t.seq ~tid:th.tid;
   t.seq <- t.seq + 1
 
-let handler : (unit, step) Effect.Deep.handler =
-  {
-    retc = (fun () -> Finished);
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Api.Sim_op op ->
-            Some (fun (k : (a, step) Effect.Deep.continuation) -> Blocked (op, k))
-        | _ -> None);
-  }
+(* Refill one of a thread's own pending values. *)
+let refs p ~vpage ~access ~count ~value =
+  match p with
+  | P_refs r ->
+      r.vpage <- vpage;
+      r.access <- access;
+      r.remaining <- count;
+      r.value <- value;
+      p
+  | _ -> assert false
 
-let begin_pending = function
-  | Op.Read { vpage; count } ->
-      P_refs { vpage; access = Access.Load; remaining = count; value = 0 }
-  | Op.Write { vpage; count; value } ->
-      P_refs { vpage; access = Access.Store; remaining = count; value }
-  | Op.Span { access; base_vpage; words_per_page; lo; n; stride; value } ->
-      let count = Op.batch_len ~words_per_page ~stride ~i:lo ~left:n in
-      P_span
-        {
-          access;
-          base_vpage;
-          words_per_page;
-          stride;
-          value;
-          vpage = base_vpage + (lo / words_per_page);
-          remaining = count;
-          next = lo + (count * stride);
-          left = n - count;
-        }
-  | Op.Compute { ns } -> P_compute { remaining_ns = ns }
-  | Op.Lock_acquire l -> P_lock l
-  | Op.Lock_release l -> P_unlock l
-  | Op.Barrier_wait b -> P_barrier { b; arrived = false; gen = b.Sync.generation }
-  | Op.Syscall { service_ns; touch_stack } -> P_syscall { service_ns; touch_stack }
-  | Op.Migrate { cpu } -> P_migrate { target = cpu }
-  | Op.Sleep_until { until_ns } -> P_sleep { until_ns }
-  | Op.Deadline_push { until_ns } -> P_deadline_push { until_ns }
-  | Op.Deadline_pop -> P_deadline_pop
+(* Inlined, so [ns] is stored without a box. *)
+let[@inline] with_ns p ns =
+  match p with
+  | P_compute c | P_sleep c | P_deadline_push c ->
+      c.ns <- ns;
+      p
+  | _ -> assert false
+
+(* Make [op] the thread's pending op. The frequent kinds refill the
+   thread's own state, every field of it, so nothing of an op a deadline
+   abandoned survives into the next. *)
+let begin_pending th op =
+  th.pending <-
+    (match op with
+    | Op.Read { vpage; count } -> refs th.p_refs ~vpage ~access:Access.Load ~count ~value:0
+    | Op.Write { vpage; count; value } ->
+        refs th.p_refs ~vpage ~access:Access.Store ~count ~value
+    | Op.Span { access; base_vpage; words_per_page; lo; n; stride; value } -> (
+        match th.p_span with
+        | P_span r as p ->
+            let count = Op.batch_len ~words_per_page ~stride ~i:lo ~left:n in
+            r.access <- access;
+            r.base_vpage <- base_vpage;
+            r.words_per_page <- words_per_page;
+            r.stride <- stride;
+            r.value <- value;
+            r.vpage <- base_vpage + (lo / words_per_page);
+            r.remaining <- count;
+            r.next <- lo + (count * stride);
+            r.left <- n - count;
+            p
+        | _ -> assert false)
+    | Op.Compute { ns } -> with_ns th.p_compute ns
+    | Op.Sleep_until { until_ns } -> with_ns th.p_sleep until_ns
+    | Op.Deadline_push { until_ns } -> with_ns th.p_deadline_push until_ns
+    | Op.Lock_acquire l -> P_lock l
+    | Op.Lock_release l -> P_unlock l
+    | Op.Barrier_wait b -> P_barrier { b; arrived = false; gen = b.Sync.generation }
+    | Op.Syscall { service_ns; touch_stack } -> P_syscall { service_ns; touch_stack }
+    | Op.Migrate { cpu } -> P_migrate { target = cpu }
+    | Op.Deadline_pop -> P_deadline_pop)
 
 let spawn t ?cpu ?stack_vpage ~name body =
   if t.running || t.completed then invalid_arg "Engine.spawn: engine already running";
@@ -248,26 +324,43 @@ let spawn t ?cpu ?stack_vpage ~name body =
       name;
       cpu;
       stack_vpage;
-      kont = None;
+      kont = Finished;
       pending = P_none;
       finished = false;
-      ready_at = 0.;
       deadlines = [];
       deadline = infinity;
+      p_refs = P_refs { vpage = 0; access = Access.Load; remaining = 0; value = 0 };
+      p_span =
+        P_span
+          {
+            access = Access.Load;
+            base_vpage = 0;
+            words_per_page = 1;
+            stride = 1;
+            value = 0;
+            vpage = 0;
+            remaining = 0;
+            next = 0;
+            left = 0;
+          };
+      p_compute = P_compute { ns = 0. };
+      p_sleep = P_sleep { ns = 0. };
+      p_deadline_push = P_deadline_push { ns = 0. };
     }
   in
   Hashtbl.replace t.threads tid th;
   t.live <- t.live + 1;
   (* Launch the body up to its first operation right away; the first chunk
      is processed when the run loop pops the thread's initial event. *)
-  (match Effect.Deep.match_with (fun () -> body ()) () handler with
+  th.kont <- Effect.Deep.match_with body () t.handler;
+  (match th.kont with
   | Finished ->
       th.finished <- true;
       t.live <- t.live - 1
-  | Blocked (op, k) ->
-      th.kont <- Some k;
-      th.pending <- begin_pending op;
-      schedule t th 0.);
+  | Blocked _ ->
+      begin_pending th t.op;
+      t.chunk_at.(at_after) <- 0.;
+      schedule t th);
   tid
 
 (* The [ready] of a chunk that leaves its thread on the CPU, whose next
@@ -297,7 +390,9 @@ let[@inline] outcome t ~d_user ~d_system ~completed ~result ~ready =
 let access t th ~cpu ~vpage ~access:a ~count ~value =
   t.memory.Memory_iface.access ~cpu ~tid:th.tid ~vpage ~access:a ~count ~value
 
-let process_chunk t th ~cpu ~start pending =
+let thread_error th error = raise (Thread_error { tid = th.tid; name = th.name; error })
+
+let process_chunk t th ~cpu pending =
   let costs = t.memory.Memory_iface.costs in
   match pending with
   | P_none -> assert false
@@ -316,12 +411,12 @@ let process_chunk t th ~cpu ~start pending =
       outcome t ~d_user:costs.user_ns ~d_system:costs.system_ns
         ~completed:(r.remaining = 0) ~result:v ~ready:on_cpu
   | P_compute c ->
-      let slice = Float.min c.remaining_ns t.config.compute_slice_ns in
-      c.remaining_ns <- c.remaining_ns -. slice;
+      let slice = Float.min c.ns t.config.compute_slice_ns in
+      c.ns <- c.ns -. slice;
       (match t.profile with
       | Some p -> Numa_obs.Profile.charge_compute p ~cpu ~tid:th.tid slice
       | None -> ());
-      outcome t ~d_user:slice ~d_system:0. ~completed:(c.remaining_ns <= 0.) ~result:0
+      outcome t ~d_user:slice ~d_system:0. ~completed:(c.ns <= 0.) ~result:0
         ~ready:on_cpu
   | P_lock l -> (
       match l.Sync.holder with
@@ -351,10 +446,7 @@ let process_chunk t th ~cpu ~start pending =
   | P_unlock l ->
       (match l.Sync.holder with
       | Some tid when tid = th.tid -> ()
-      | Some _ | None ->
-          failwith
-            (Printf.sprintf "thread %d (%s) released lock %d it does not hold" th.tid
-               th.name l.Sync.lock_id));
+      | Some _ | None -> thread_error th (Unlock_not_held { lock_id = l.Sync.lock_id }));
       (* The releasing store happens while the thread still holds the lock;
          only then does the holder flip. Anything the store triggers (fault
          handling, bus traffic, its Refs event) is thereby accounted inside
@@ -405,10 +497,9 @@ let process_chunk t th ~cpu ~start pending =
       end
   | P_migrate { target } ->
       if target < 0 || target >= t.config.n_cpus then
-        failwith
-          (Printf.sprintf "thread %d (%s) migrated to nonexistent cpu %d" th.tid th.name
-             target);
+        thread_error th (No_such_cpu { cpu = target });
       th.cpu <- target;
+      let start = t.chunk_at.(at_start) in
       (* A reschedule: the thread resumes on the target once it is past
          both its own time and the target's clock; the dispatch work is
          system time there. *)
@@ -426,7 +517,7 @@ let process_chunk t th ~cpu ~start pending =
       outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0 ~ready:resume
   | P_syscall { service_ns; touch_stack } ->
       let master = if t.config.unix_master then 0 else cpu in
-      let start_service = fmax start t.clock.(master) in
+      let start_service = fmax t.chunk_at.(at_start) t.clock.(master) in
       let stack_ns =
         if touch_stack then
           match th.stack_vpage with
@@ -458,19 +549,20 @@ let process_chunk t th ~cpu ~start pending =
       (* The calling thread was blocked, not computing: its own CPU accrues
          neither user nor system time; it resumes when the call returns. *)
       outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0 ~ready:finish
-  | P_sleep { until_ns } ->
+  | P_sleep until ->
       (* An open-loop timer: park until the virtual deadline without
          touching any CPU clock. A deadline already past resumes at [start]
          (the sleeper was behind, e.g. a serving thread draining a queue
          backlog). The gap, if any, is charged as idle when the thread's
          next chunk finds its event time ahead of the CPU clock. *)
       outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:0
-        ~ready:(fmax start until_ns)
-  | P_deadline_push { until_ns } ->
+        ~ready:(fmax t.chunk_at.(at_start) until.ns)
+  | P_deadline_push until ->
       (* Arm a cancellable timer. Free of simulated time: the deadline
          machinery models a kernel timer wheel whose cost is negligible
          next to a single remote reference. Ids are allocated in event
          order, so they are deterministic. *)
+      let until_ns = until.ns in
       let id = t.next_timer_id in
       t.next_timer_id <- id + 1;
       th.deadlines <- (id, until_ns) :: th.deadlines;
@@ -478,10 +570,7 @@ let process_chunk t th ~cpu ~start pending =
       outcome t ~d_user:0. ~d_system:0. ~completed:true ~result:id ~ready:on_cpu
   | P_deadline_pop ->
       (match th.deadlines with
-      | [] ->
-          failwith
-            (Printf.sprintf "thread %d (%s) popped a deadline it never pushed" th.tid
-               th.name)
+      | [] -> thread_error th Deadline_not_pushed
       | _ :: rest ->
           th.deadlines <- rest;
           th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest);
@@ -508,7 +597,6 @@ let count_event t =
 
 let finish_thread t th =
   th.finished <- true;
-  th.kont <- None;
   th.pending <- P_none;
   t.live <- t.live - 1
 
@@ -519,38 +607,40 @@ let[@inline] nothing_due_before (q : Event_queue.t) at = q.size = 0 || q.time.(0
 (* A parked thread (sleep, syscall return) must still observe its
    tightest deadline: wake at the deadline instant instead of sleeping
    through it, so the timer fires exactly on time. *)
-let park t th start after =
-  schedule t th (if after > th.deadline then fmax start th.deadline else after)
+let park t th =
+  let at = t.chunk_at in
+  if at.(at_after) > th.deadline then at.(at_after) <- fmax at.(at_start) th.deadline;
+  schedule t th
 
-(* Work through [th]'s pending operation on [cpu] from [start], chunk by
-   chunk, for one scheduling turn. Top-level, not local to [turn], so a
-   turn allocates no closures. *)
-let rec go t th cpu start =
+(* Work through [th]'s pending operation on [cpu] from [chunk_at.(at_start)],
+   chunk by chunk, for one scheduling turn. Top-level, not local to
+   [turn], so a turn allocates no closures. *)
+let rec go t th cpu =
+  let at = t.chunk_at in
   match th.pending with
   | P_none -> ()
-  | _ when start >= th.deadline -> fire t th cpu start
+  | _ when at.(at_start) >= th.deadline -> fire t th cpu
   | pending ->
-      process_chunk t th ~cpu ~start pending;
+      process_chunk t th ~cpu pending;
+      let start = at.(at_start) in
       let d_user = t.out.(out_user) and d_system = t.out.(out_system) in
       let ready = t.out.(out_ready) in
       let parked = ready >= 0. in
       t.user.(cpu) <- t.user.(cpu) +. d_user;
       t.system.(cpu) <- t.system.(cpu) +. d_system;
-      let after =
-        if parked then ready
-        else begin
-          (match t.profile with
-          | Some p when start > t.clock.(cpu) ->
-              (* The thread's event time was ahead of its CPU's clock:
-                 the CPU sat idle for the difference. *)
-              Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
-          | Some _ | None -> ());
-          t.clock.(cpu) <- start +. d_user +. d_system;
-          t.clock.(cpu)
-        end
-      in
-      t.vnow.(0) <- fmax t.vnow.(0) after;
-      if not t.out_completed then schedule t th after
+      if parked then at.(at_after) <- ready
+      else begin
+        (match t.profile with
+        | Some p when start > t.clock.(cpu) ->
+            (* The thread's event time was ahead of its CPU's clock:
+               the CPU sat idle for the difference. *)
+            Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
+        | Some _ | None -> ());
+        t.clock.(cpu) <- start +. d_user +. d_system;
+        at.(at_after) <- t.clock.(cpu)
+      end;
+      t.vnow.(0) <- fmax t.vnow.(0) at.(at_after);
+      if not t.out_completed then schedule t th
       else
         match pending with
         | P_span r when r.left > 0 ->
@@ -564,29 +654,31 @@ let rec go t th cpu start =
             r.remaining <- count;
             r.next <- r.next + (count * r.stride);
             r.left <- r.left - count;
-            boundary t th cpu start after
+            boundary t th cpu
         | _ -> (
-            th.pending <- P_none;
+            (* Resume the body. Its next step overwrites [kont], and the
+               op it performs (or [finish_thread]) overwrites [pending]. *)
             match th.kont with
-            | None -> assert false
-            | Some k -> (
-                th.kont <- None;
-                match Effect.Deep.continue k t.out_result with
+            | Finished -> assert false
+            | Blocked k -> (
+                th.kont <- Effect.Deep.continue k t.out_result;
+                match th.kont with
                 | Finished -> finish_thread t th
-                | Blocked (op, k') ->
-                    th.kont <- Some k';
-                    th.pending <- begin_pending op;
-                    if parked then park t th start after
-                    else boundary t th cpu start after))
-(* An operation boundary: keep running inline while no other event is
-   due first (avoids heap churn for single-threaded phases). *)
-and boundary t th cpu start after =
-  if nothing_due_before t.events after then begin
+                | Blocked _ ->
+                    begin_pending th t.op;
+                    if parked then park t th else boundary t th cpu))
+(* An operation boundary at [chunk_at.(at_after)]: keep running inline
+   while no other event is due first (avoids heap churn for
+   single-threaded phases). *)
+and boundary t th cpu =
+  let at = t.chunk_at in
+  if nothing_due_before t.events at.(at_after) then begin
     count_event t;
-    go t th cpu after
+    at.(at_start) <- at.(at_after);
+    go t th cpu
   end
-  else park t th start after
-and fire t th cpu start =
+  else park t th
+and fire t th cpu =
   (* The tightest armed timer has expired: abandon the current operation
      at this chunk boundary and unwind the thread with
      {!Api.Deadline_exceeded}. Scopes armed after the firing timer can
@@ -602,30 +694,35 @@ and fire t th cpu start =
   th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest;
   th.pending <- P_none;
   match th.kont with
-  | None -> assert false
-  | Some k -> (
-      th.kont <- None;
+  | Finished -> assert false
+  | Blocked k -> (
       (* Unwinding may itself perform operations (with_lock releases its
          lock on the way out); they surface here as a fresh blocked op
-         and run at [start] — at or after the deadline instant, never
-         before. *)
-      match Effect.Deep.discontinue k (Api.Deadline_exceeded id) with
+         and run at the chunk's start — at or after the deadline instant,
+         never before. *)
+      th.kont <- Effect.Deep.discontinue k (Api.Deadline_exceeded id);
+      match th.kont with
       | Finished -> finish_thread t th
-      | Blocked (op, k') ->
-          th.kont <- Some k';
-          th.pending <- begin_pending op;
-          if nothing_due_before t.events start then begin
+      | Blocked _ ->
+          begin_pending th t.op;
+          let at = t.chunk_at in
+          if nothing_due_before t.events at.(at_start) then begin
             count_event t;
-            go t th cpu start
+            go t th cpu
           end
-          else schedule t th start)
+          else begin
+            at.(at_after) <- at.(at_start);
+            schedule t th
+          end)
 
-(* Process one scheduling turn for [th]: one chunk; on op completion,
-   resume the thread body (possibly through several ops) while no other
-   event is due earlier. *)
+(* Process one scheduling turn for [th], whose queue entry was due at
+   [chunk_at.(at_start)]: one chunk; on op completion, resume the thread
+   body (possibly through several ops) while no other event is due
+   earlier. *)
 let turn t th =
   let cpu = pick_cpu t th in
-  let start = fmax th.ready_at t.clock.(cpu) in
+  let start = fmax t.chunk_at.(at_start) t.clock.(cpu) in
+  t.chunk_at.(at_start) <- start;
   (* The virtual clock is monotone: a turn that starts on a CPU whose
      local clock lags another CPU's must not drag [vnow] (and with it
      every observability timestamp) backwards. *)
@@ -634,7 +731,7 @@ let turn t th =
   if Numa_obs.Hub.enabled t.obs then
     Numa_obs.Hub.emit t.obs
       (Numa_obs.Event.Dispatch { tid = th.tid; cpu; name = th.name });
-  go t th cpu start
+  go t th cpu
 
 let run t =
   if t.running || t.completed then invalid_arg "Engine.run: already running";
@@ -642,14 +739,17 @@ let run t =
   t.thread_by_tid <-
     Array.init t.next_tid (fun tid -> Hashtbl.find t.threads tid);
   let rec loop () =
-    let tid = Event_queue.pop_min t.events in
-    if tid < 0 then begin
+    let q = t.events in
+    if q.size = 0 then begin
       if t.live > 0 then
         raise
           (Deadlock
              (Printf.sprintf "%d thread(s) blocked with no runnable events" t.live))
     end
     else begin
+      (* The entry's time is the thread's ready time. *)
+      t.chunk_at.(at_start) <- q.time.(0);
+      let tid = Event_queue.pop_min q in
       count_event t;
       let th = t.thread_by_tid.(tid) in
       if not th.finished then turn t th;

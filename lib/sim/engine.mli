@@ -16,7 +16,25 @@
     Two scheduler modes reproduce section 4.7: [Affinity] binds each thread
     to a CPU at spawn (the paper's modified scheduler); [Single_queue]
     models original Mach, re-dispatching a thread to the least-advanced CPU
-    at every chunk boundary, destroying locality. *)
+    at every chunk boundary, destroying locality.
+
+    {b The hand-off.} Thread bodies run on their own fibers, but every
+    op is worked on the engine's stack: a [perform] suspends the body, the
+    engine charges the op chunk by chunk, and resumes the body with the
+    result. An ordinary op allocates nothing in the engine:
+    - one effect handler per engine, built by {!create}; its [effc] stores
+      the performed {!Op.t} in the engine and returns one preallocated
+      [Some] of a constant function;
+    - per-thread op state: each thread owns the pending value of each
+      frequent op kind (reads and writes, spans, compute, sleep, deadline
+      push), allocated at {!spawn} and refilled, every field, when the
+      thread performs that kind again; float payloads sit in flat float
+      records. Locks, barriers, system calls, migrations and deadline pops
+      still allocate theirs;
+    - the chunk clock in scratch: the instant a chunk starts at and the
+      instant its thread is next ready live in a per-engine float array,
+      not in float arguments that would be boxed; a thread's ready time is
+      its queue entry's time, read before the entry is popped. *)
 
 type scheduler_mode = Affinity | Single_queue
 
@@ -32,6 +50,17 @@ type config = {
 val default_config : n_cpus:int -> config
 
 type t
+
+(** Why a thread's op is invalid. *)
+type thread_error =
+  | Unlock_not_held of { lock_id : int }  (** released a lock it does not hold *)
+  | No_such_cpu of { cpu : int }  (** {!Api.migrate} to a CPU the engine lacks *)
+  | Deadline_not_pushed  (** popped a deadline it never pushed *)
+
+exception Thread_error of { tid : int; name : string; error : thread_error }
+(** Raised out of {!run} by the thread whose op is invalid, at the chunk
+    that would carry it out. A printer is registered, so an uncaught one
+    reads as [Engine.Thread_error: thread N (name) <cause>]. *)
 
 exception Deadlock of string
 (** Raised when no thread can make progress (e.g. a lock was never

@@ -187,6 +187,20 @@ let test_golden_table3 () =
     (golden "table3_small_ace.txt")
     (Numa_metrics.Table3.render rows ^ "\n" ^ Numa_metrics.Table3.render_comparison rows)
 
+(* Engine paths perfbench does not drive; same runs as [engine_runs] in
+   test/gen_golden/gen_golden.ml. Each golden is the report JSON and the
+   event count, so a change in how the engine interleaves turns shows up
+   even where it moves no reported time. *)
+let engine_golden ?(scheduler = Numa_sim.Engine.Affinity) ?(unix_master = false) file name
+    ~scale () =
+  let app = Option.get (Numa_apps.Registry.find name) in
+  let config = Numa_machine.Config.ace ~n_cpus:4 () in
+  let sys = System.create ~scheduler ~unix_master ~config () in
+  app.App_sig.setup sys { App_sig.nthreads = 4; scale; seed = 42L };
+  let r = audited sys (System.run sys) in
+  Alcotest.(check string) (file ^ " is byte-identical") (golden file)
+    (Printf.sprintf "%s\nn_events %d\n" (report_bytes r) r.Report.n_events)
+
 let suite =
   [
     Alcotest.test_case "reruns are bit-identical" `Quick test_reruns_identical;
@@ -207,4 +221,12 @@ let suite =
     Alcotest.test_case "golden: ACE report JSON frozen" `Quick test_golden_report_json;
     Alcotest.test_case "golden: ACE report text frozen" `Quick test_golden_report_text;
     Alcotest.test_case "golden: ACE Table 3 frozen" `Quick test_golden_table3;
+    Alcotest.test_case "golden: syscall-mix on the Unix master" `Quick
+      (engine_golden ~unix_master:true "engine_syscall_mix_master.txt" "syscall-mix"
+         ~scale:0.1);
+    Alcotest.test_case "golden: rebalance migrations" `Quick
+      (engine_golden "engine_rebalance.txt" "rebalance" ~scale:0.1);
+    Alcotest.test_case "golden: primes1 under a single queue" `Quick
+      (engine_golden ~scheduler:Numa_sim.Engine.Single_queue
+         "engine_primes1_single_queue.txt" "primes1" ~scale:0.05);
   ]

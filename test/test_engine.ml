@@ -89,10 +89,10 @@ let test_unlock_by_non_holder_fails () =
       Api.lock lock;
       Api.compute 1e6));
   ignore (Engine.spawn e ~cpu:1 ~name:"thief" (fun () -> Api.unlock lock));
-  Alcotest.(check bool) "raises" true
-    (match Engine.run e with
-    | () -> false
-    | exception Failure _ -> true)
+  Alcotest.check_raises "raises"
+    (Engine.Thread_error
+       { tid = 1; name = "thief"; error = Engine.Unlock_not_held { lock_id = 0 } })
+    (fun () -> Engine.run e)
 
 let test_barrier_synchronises () =
   let e = make () in
@@ -307,8 +307,25 @@ let test_thread_cpu_lookup () =
 let test_migrate_bad_cpu_fails () =
   let e = make () in
   ignore (Engine.spawn e ~cpu:0 ~name:"bad" (fun () -> Api.migrate ~cpu:99));
-  Alcotest.(check bool) "rejected" true
-    (match Engine.run e with () -> false | exception Failure _ -> true)
+  Alcotest.check_raises "rejected"
+    (Engine.Thread_error { tid = 0; name = "bad"; error = Engine.No_such_cpu { cpu = 99 } })
+    (fun () -> Engine.run e)
+
+(* [Api.with_deadline] always pairs its pop with a push; a bare pop is a
+   thread error, and the registered printer names the thread. *)
+let test_deadline_pop_unpushed_fails () =
+  let e = make () in
+  ignore (Engine.spawn e ~cpu:2 ~name:"popper" (fun () ->
+      Api.compute 1e3;
+      ignore (Effect.perform (Api.Sim_op Numa_sim.Op.Deadline_pop))));
+  match Engine.run e with
+  | () -> Alcotest.fail "a pop without a push ran to completion"
+  | exception (Engine.Thread_error { tid; name; error } as exn) ->
+      Alcotest.(check (pair int string)) "thread" (0, "popper") (tid, name);
+      Alcotest.(check bool) "cause" true (error = Engine.Deadline_not_pushed);
+      Alcotest.(check string) "printer"
+        "Engine.Thread_error: thread 0 (popper) popped a deadline it never pushed"
+        (Printexc.to_string exn)
 
 let test_determinism () =
   let run () =
@@ -340,6 +357,97 @@ let test_empty_run () =
   let e = make () in
   Engine.run e;
   Alcotest.(check (float 0.)) "no time passes" 0. (Engine.elapsed_ns e)
+
+(* A deadline fires in the middle of a span, and the unwind performs
+   another span and a sleep. Both reuse the thread's op state, which the
+   abandoned span and an earlier sleep left filled in, so a field the
+   engine forgot to refill would show here. A page of 64 fetches takes
+   41.6 us: the deadline at 100 us fires at the fourth page boundary,
+   after 3 of span A's 50 pages, then span B's 10 pages run in full. *)
+let test_deadline_unwind_reuses_op_state () =
+  let e = make () in
+  let span pages =
+    Api.span Access.Load ~base_vpage:0 ~words_per_page:64 ~lo:0 ~n:(pages * 64) ~stride:1
+  in
+  let outcome = ref (Some ()) in
+  ignore
+    (Engine.spawn e ~cpu:0 ~name:"unwinder" (fun () ->
+         Api.sleep_until ~ns:1.;
+         outcome :=
+           Api.with_deadline ~until_ns:100_000. (fun () ->
+               Fun.protect
+                 ~finally:(fun () ->
+                   span 10;
+                   Api.sleep_until ~ns:5e6;
+                   Api.compute 1e3)
+                 (fun () -> span 50))));
+  Engine.run e;
+  Alcotest.(check bool) "the deadline fired" true (!outcome = None);
+  Alcotest.(check (float 1e-6)) "user: 3 pages of A, 10 of B, the compute"
+    ((float_of_int ((3 + 10) * 64) *. 650.) +. 1e3)
+    (Engine.user_ns e ~cpu:0);
+  Alcotest.(check (float 1e-6)) "elapsed: the second sleep, then the compute" 5_001_000.
+    (Engine.elapsed_ns e)
+
+(* --- allocation gates ------------------------------------------------------ *)
+
+(* Minor words [Engine.run] allocates per event, over the flat memory.
+   Its loads of never-written pages allocate nothing but the 2-word float
+   [Cost.references_ns] returns across modules, so the figure is the
+   engine's hand-off, the thread side of [Api] (an [Op.t] and its
+   [Sim_op]), the runtime's continuation and those 2 words per access.
+   The gates below failed before the engine had one handler, reused
+   per-thread op state and its chunk clock in scratch; each comment gives
+   the figure before and after that change. *)
+let words_per_event e =
+  let before = Gc.minor_words () in
+  Engine.run e;
+  (Gc.minor_words () -. before) /. float_of_int (Engine.n_events e)
+
+let gate name ~bound e =
+  let w = words_per_event e in
+  if w > bound then Alcotest.failf "%s: %.2f words per event (gate: %g)" name w bound
+
+let span_50 () =
+  Api.span Access.Load ~base_vpage:0 ~words_per_page:64 ~lo:0 ~n:(50 * 64) ~stride:1
+
+(* One thread doing single-reference [Read] ops: each is one event, run
+   inline after the last. 28.0 words per event before, 12.0 after. *)
+let test_read_op_allocation () =
+  let e = make ~n_cpus:1 () in
+  ignore
+    (Engine.spawn e ~cpu:0 ~name:"reader" (fun () ->
+         for _ = 1 to 20_000 do
+           Api.read 7
+         done));
+  gate "inline Read ops" ~bound:14. e
+
+(* One thread doing 50-page spans: 49 of every 50 events are page
+   boundaries handled inside the engine. 4.68 words per event before,
+   2.30 after (2 of them the flat memory's). *)
+let test_span_boundary_allocation () =
+  let e = make ~n_cpus:1 () in
+  ignore
+    (Engine.spawn e ~cpu:0 ~name:"walker" (fun () ->
+         for _ = 1 to 400 do
+           span_50 ()
+         done));
+  gate "span page boundaries" ~bound:3. e
+
+(* Seven threads on seven CPUs walking in lockstep: at every page boundary
+   another thread is due first, so each boundary parks its thread and the
+   next batch is a fresh turn. 6.38 words per event before, 4.01 after:
+   the flat memory's 2, and the float [Event_queue.add] boxes. *)
+let test_parked_turn_allocation () =
+  let e = make ~n_cpus:7 () in
+  for cpu = 0 to 6 do
+    ignore
+      (Engine.spawn e ~cpu ~name:(Printf.sprintf "w%d" cpu) (fun () ->
+           for _ = 1 to 60 do
+             span_50 ()
+           done))
+  done;
+  gate "parked span turns" ~bound:5. e
 
 (* --- event queue ---------------------------------------------------------- *)
 
@@ -465,10 +573,17 @@ let suite =
     Alcotest.test_case "stuck barrier detected" `Quick test_deadlock_detection;
     Alcotest.test_case "migrate rebinds thread" `Quick test_migrate_rebinds_thread;
     Alcotest.test_case "migrate to bad cpu fails" `Quick test_migrate_bad_cpu_fails;
+    Alcotest.test_case "deadline pop without push fails" `Quick
+      test_deadline_pop_unpushed_fails;
     Alcotest.test_case "thread_cpu lookup and unknown tid" `Quick test_thread_cpu_lookup;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "spawn after run rejected" `Quick test_spawn_after_run_rejected;
     Alcotest.test_case "empty run" `Quick test_empty_run;
+    Alcotest.test_case "deadline unwind reuses op state" `Quick
+      test_deadline_unwind_reuses_op_state;
+    Alcotest.test_case "inline Read op allocation gate" `Quick test_read_op_allocation;
+    Alcotest.test_case "span boundary allocation gate" `Quick test_span_boundary_allocation;
+    Alcotest.test_case "parked turn allocation gate" `Quick test_parked_turn_allocation;
     Alcotest.test_case "event queue basic" `Quick test_event_queue_basic;
     Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
     Alcotest.test_case "event queue clear" `Quick test_event_queue_clear;
